@@ -3,12 +3,8 @@
 #include <algorithm>
 #include <cmath>
 #include <cstdint>
-#include <numeric>
+#include <functional>
 
-#include "check/check.h"
-#include "fl/event_engine.h"
-#include "fl/trainer.h"
-#include "opt/workspace.h"
 #include "tensor/vecops.h"
 #include "util/error.h"
 #include "util/rng.h"
@@ -17,19 +13,220 @@
 namespace fedvr::core {
 
 void ProxSkipVROptions::validate() const {
-  FEDVR_CHECK_MSG(iterations >= 1, "iterations must be >= 1");
   FEDVR_CHECK_MSG(std::isfinite(step_size) && step_size > 0.0,
                   "step_size must be positive and finite, got " << step_size);
   FEDVR_CHECK_MSG(skip_prob > 0.0 && skip_prob <= 1.0,
                   "skip_prob must be in (0, 1], got " << skip_prob);
   FEDVR_CHECK_MSG(batch_size >= 1, "batch_size must be >= 1");
-  FEDVR_CHECK_MSG(eval_every >= 1, "eval_every must be >= 1");
-  timing.validate();
-  comm.validate();
-  FEDVR_CHECK_MSG(!faults.config().corruption_enabled(),
-                  "ProxSkip-VR does not model update corruption (no "
-                  "server-side defense layer); use fl::Trainer for "
-                  "Byzantine experiments");
+}
+
+namespace {
+
+// The x_n / h_n / anchor-gradient slabs, the shared coin, one SVRG step on
+// every non-crashed device, and on heads the consensus + control-variate
+// update. Evaluated at x̄ = Σ_n (D_n/D) x_n.
+class ProxSkipVRPolicy final : public fl::RoundPolicy {
+ public:
+  explicit ProxSkipVRPolicy(const ProxSkipVROptions& options)
+      : gamma_(options.step_size),
+        p_(options.skip_prob),
+        batch_size_(options.batch_size) {}
+
+  std::size_t allocate(const fl::RunContext& run,
+                       std::span<const double> w0) override {
+    const std::size_t num_devices = run.fed.num_devices();
+    FEDVR_CHECK_MSG(!run.options.devices_per_round ||
+                        *run.options.devices_per_round == num_devices,
+                    "ProxSkip-VR needs full participation: every device "
+                    "holds a live iterate and control variate");
+    FEDVR_CHECK_MSG(!run.options.faults.config().corruption_enabled(),
+                    "ProxSkip-VR does not model update corruption (no "
+                    "server-side defense layer); use the FedProxVR policy "
+                    "for Byzantine experiments");
+    run_.emplace(run);
+    dim_ = w0.size();
+    anchor_.assign(w0.begin(), w0.end());
+    // Flat num_devices×dim slabs; device n's view is touched only from its
+    // own parallel index.
+    x_slab_.resize(num_devices * dim_);
+    for (std::size_t n = 0; n < num_devices; ++n) {
+      std::copy(anchor_.begin(), anchor_.end(), view(x_slab_, n).begin());
+    }
+    h_slab_.assign(num_devices * dim_, 0.0);
+    anchor_grad_slab_.assign(num_devices * dim_, 0.0);
+    uploads_slab_.assign(num_devices * dim_, 0.0);
+    x_next_.assign(dim_, 0.0);
+    xbar_.assign(dim_, 0.0);
+    survivor_weights_.clear();
+    survivor_weights_.reserve(num_devices);
+    for_each_device([this](std::size_t n) { refresh_anchor_gradient(n); });
+    return run.fed.total_train_size();
+  }
+
+  [[nodiscard]] std::size_t local_steps() const override { return 1; }
+
+  bool open_round(std::size_t round,
+                  std::vector<std::size_t>& /*participants*/) override {
+    // The shared skip coin: one draw per iteration, device coordinate 0 of
+    // the kComm stream (per-device comm streams use coordinates >= 1).
+    util::Rng coin =
+        util::fork(run_->options.seed, 0, round, util::stream::kComm);
+    return coin.uniform() < p_;
+  }
+
+  fl::SlotWork solve(const fl::RoundState& r, std::size_t k,
+                     opt::SolverWorkspace& ws) override {
+    // Local step (x̂ = x − γ(g − h)) on a live device; a crashed device is
+    // never scheduled, so its x_n and h_n stay put.
+    const std::size_t n = r.participants[k];
+    const std::uint64_t seed = run_->options.seed;
+    data::Dataset scratch;
+    const data::Dataset& ds = run_->fed.train(n, scratch);
+    const std::size_t batch = std::min(batch_size_, ds.size());
+    util::Rng rng = util::fork(seed, n + 1, r.round, util::stream::kSampling);
+    std::vector<std::size_t>& idx = ws.batch;
+    idx.resize(batch);
+    for (auto& i : idx) i = rng.below(ds.size());
+
+    // SVRG estimator: ∇f_B(x_n) − ∇f_B(anchor) + ∇F_n(anchor), with the
+    // same minibatch at both points (eq. 8b).
+    std::vector<double>& g = ws.grad_curr;
+    g.resize(dim_);
+    std::vector<double>& g_anchor = ws.grad_ref;
+    g_anchor.resize(dim_);
+    const std::span<double> xn = view(x_slab_, n);
+    const std::span<const double> hn = view(h_slab_, n);
+    const std::span<const double> agn = view(anchor_grad_slab_, n);
+    run_->model.loss_and_gradient(xn, ds, idx, g);
+    run_->model.loss_and_gradient(anchor_, ds, idx, g_anchor);
+    // v = g − g_anchor + anchor_grad; x̂ = x − γ(v − h), written in place.
+    for (std::size_t i = 0; i < dim_; ++i) {
+      const double v = g[i] - g_anchor[i] + agn[i];
+      xn[i] -= gamma_ * (v - hn[i]);
+    }
+    fl::SlotWork work{.inner_iterations = 1, .sample_grad_evals = 2 * batch};
+
+    if (r.communicate && !r.events[k].uplink_failed) {
+      // Proposal y_n = x̂_n − (γ/p) h_n, uploaded as a delta against the
+      // shared anchor so sparsification/quantization compress the small
+      // innovation, not the full model.
+      const double gamma_over_p = gamma_ / p_;
+      const std::span<double> up = view(uploads_slab_, n);
+      for (std::size_t i = 0; i < dim_; ++i) {
+        up[i] = xn[i] - gamma_over_p * hn[i] - anchor_[i];
+      }
+      util::Rng comm_rng =
+          util::fork(seed, n + 1, r.round, util::stream::kComm);
+      work.uplink_bytes = r.channel.uplink(n, up, comm_rng);
+    }
+    return work;
+  }
+
+  fl::CombineResult combine(const fl::RoundState& r) override {
+    // Tails, or heads with zero survivors: a skip round — no broadcast, no
+    // h update (a failed round's uplink attempts are still charged).
+    const std::span<const std::size_t> survivors = r.schedule.survivors();
+    if (!r.communicate || survivors.empty()) return {.broadcast = false};
+    survivor_weights_.clear();
+    for (const std::size_t k : survivors) {
+      survivor_weights_.push_back(run_->fed.weight(r.participants[k]));
+    }
+    const double weight_sum = tensor::sum(survivor_weights_);
+    // x_{t+1} = anchor + Σ survivors (w_n / Σw) (decoded delta_n),
+    // ascending device order. ProxSkip keeps this sum rather than the
+    // Aggregator seam, whose operation order differs.
+    tensor::copy(anchor_, x_next_);
+    for (std::size_t i = 0; i < survivors.size(); ++i) {
+      tensor::axpy(survivor_weights_[i] / weight_sum,
+                   view(uploads_slab_, r.participants[survivors[i]]),
+                   x_next_);
+    }
+    // Reliable downlink: every device adopts the consensus and updates its
+    // control variate against its own x̂ (a crashed device's x̂ is its
+    // unchanged x_n).
+    const double p_over_gamma = p_ / gamma_;
+    for_each_device([this, p_over_gamma](std::size_t n) {
+      const std::span<double> hn = view(h_slab_, n);
+      const std::span<double> xn = view(x_slab_, n);
+      for (std::size_t i = 0; i < dim_; ++i) {
+        hn[i] += p_over_gamma * (x_next_[i] - xn[i]);
+      }
+      tensor::copy(x_next_, xn);
+    });
+    tensor::copy(x_next_, anchor_);
+    // Refresh the SVRG anchor gradients at the new consensus.
+    for_each_device([this](std::size_t n) { refresh_anchor_gradient(n); });
+    return {.broadcast = true,
+            .sample_grad_evals = run_->fed.total_train_size()};
+  }
+
+  std::span<const double> model() override {
+    // x̄_t = Σ_n (D_n/D) x_n — the analysis-side average iterate; equals
+    // the broadcast model at communication rounds. Serial ascending
+    // accumulation.
+    tensor::fill(xbar_, 0.0);
+    for (std::size_t n = 0; n < run_->fed.num_devices(); ++n) {
+      tensor::axpy(run_->fed.weight(n), view(x_slab_, n), xbar_);
+    }
+    return xbar_;
+  }
+
+ private:
+  std::span<double> view(std::vector<double>& slab, std::size_t n) const {
+    return std::span<double>(slab).subspan(n * dim_, dim_);
+  }
+
+  // Runs f(n) for every device n, device-parallel when the run allows.
+  void for_each_device(const std::function<void(std::size_t)>& f) const {
+    const std::size_t num_devices = run_->fed.num_devices();
+    util::ThreadPool& pool = util::ThreadPool::global();
+    if (run_->options.parallel && pool.size() > 1) {
+      pool.parallel_for(0, num_devices, f);
+    } else {
+      for (std::size_t n = 0; n < num_devices; ++n) f(n);
+    }
+  }
+
+  void refresh_anchor_gradient(std::size_t n) {
+    data::Dataset scratch;
+    (void)run_->model.full_gradient(anchor_, run_->fed.train(n, scratch),
+                                    view(anchor_grad_slab_, n));
+  }
+
+  double gamma_;
+  double p_;
+  std::size_t batch_size_;
+  std::optional<fl::RunContext> run_;
+  std::size_t dim_ = 0;
+  std::vector<double> anchor_;            // last broadcast consensus model
+  std::vector<double> x_slab_;            // local iterates x_n
+  std::vector<double> h_slab_;            // control variates h_n
+  std::vector<double> anchor_grad_slab_;  // ∇F_n(anchor), SVRG
+  std::vector<double> uploads_slab_;      // decoded proposals − anchor
+  std::vector<double> x_next_;
+  std::vector<double> xbar_;
+  std::vector<double> survivor_weights_;
+};
+
+}  // namespace
+
+std::unique_ptr<fl::RoundPolicy> make_proxskip_vr_policy(
+    const ProxSkipVROptions& options) {
+  return std::make_unique<ProxSkipVRPolicy>(options);
+}
+
+fl::TrainerOptions trainer_options(const ProxSkipVROptions& options) {
+  fl::TrainerOptions t;
+  t.rounds = options.iterations;
+  t.seed = options.seed;
+  t.timing = options.timing;
+  t.eval_every = options.eval_every;
+  t.eval_initial = options.eval_initial;
+  t.target_accuracy = options.target_accuracy;
+  t.comm = options.comm;
+  t.faults = options.faults;
+  t.parallel = options.parallel;
+  return t;
 }
 
 fl::TrainingTrace run_proxskip_vr(std::shared_ptr<const nn::Model> model,
@@ -37,327 +234,10 @@ fl::TrainingTrace run_proxskip_vr(std::shared_ptr<const nn::Model> model,
                                   const ProxSkipVROptions& options,
                                   const std::string& name,
                                   std::optional<std::vector<double>> w0) {
-  FEDVR_CHECK_MSG(model != nullptr, "model must not be null");
-  FEDVR_CHECK_MSG(fed.num_devices() >= 1, "need at least one device");
   options.validate();
-
-  const std::size_t num_devices = fed.num_devices();
-  const std::size_t dim = model->num_parameters();
-  const double gamma = options.step_size;
-  const double p = options.skip_prob;
-  const double gamma_over_p = gamma / p;
-  const double p_over_gamma = p / gamma;
-  const double backoff = options.faults.config().retry_backoff;
-
-  // Evaluation helper: reuse the trainer's pooled-test / global-objective
-  // machinery (eq. 2) without running its round loop.
-  const fl::Trainer evaluator(model, fed, fl::TrainerOptions{});
-
-  std::vector<double> anchor;  // last broadcast consensus model
-  if (w0.has_value()) {
-    FEDVR_CHECK_MSG(w0->size() == dim,
-                    "w0 has " << w0->size() << " parameters, model needs "
-                              << dim);
-    anchor = std::move(*w0);
-  } else {
-    util::Rng init_rng =
-        util::fork(options.seed, 0, 0, util::stream::kInit);
-    anchor = model->initial_parameters(init_rng);
-  }
-
-  // Per-device state in flat num_devices×dim slabs: one allocation each for
-  // the whole run instead of num_devices heap vectors per array, and
-  // device n's view is a subspan. Each view is touched only from its own
-  // device's parallel_for index (determinism contract). ProxSkip-VR is a
-  // full-participation algorithm — every device holds a live iterate and
-  // control variate between rounds — so O(N·dim) state is inherent here;
-  // the sampled O(m·dim) engine is fl::Trainer.
-  std::vector<double> x_slab(num_devices * dim);  // local iterates
-  for (std::size_t n = 0; n < num_devices; ++n) {
-    std::copy(anchor.begin(), anchor.end(),
-              x_slab.begin() + static_cast<std::ptrdiff_t>(n * dim));
-  }
-  std::vector<double> h_slab(num_devices * dim, 0.0);  // control variates
-  std::vector<double> anchor_grad_slab(num_devices * dim,
-                                       0.0);  // ∇F_n(anchor), SVRG
-  std::vector<double> uploads_slab(num_devices * dim, 0.0);
-  const auto device_view = [dim](std::vector<double>& slab, std::size_t n) {
-    return std::span<double>(slab).subspan(n * dim, dim);
-  };
-  std::vector<std::size_t> realized_uplink(num_devices, 0);
-  std::vector<std::size_t> grad_evals(num_devices, 0);  // cumulative
-  std::vector<fl::FaultEvent> events(num_devices);
-
-  // Pooled per-iteration solver scratch (batch indices, the two SVRG
-  // gradients): leased per device activation, so the inner loop allocates
-  // nothing once the pool is warm.
-  opt::WorkspacePool ws_pool;
-
-  comm::Channel channel(options.comm, num_devices, dim);
-  const bool byte_timing = options.comm.byte_timing;
-  fl::TimingModel timing = options.timing;
-  if (byte_timing) timing.d_com = channel.link_round_time(options.timing);
-
-  util::ThreadPool& pool = util::ThreadPool::global();
-  const bool run_parallel = options.parallel && pool.size() > 1;
-
-  const auto refresh_anchor_gradients = [&](std::size_t n) {
-    model->full_gradient(anchor, fed.train[n], device_view(anchor_grad_slab, n));
-    grad_evals[n] += fed.train[n].size();
-  };
-  const auto for_each_device = [&](const std::function<void(std::size_t)>& f) {
-    if (run_parallel) {
-      pool.parallel_for(0, num_devices, f);
-    } else {
-      for (std::size_t n = 0; n < num_devices; ++n) f(n);
-    }
-  };
-  for_each_device(refresh_anchor_gradients);
-
-  fl::TrainingTrace trace;
-  trace.algorithm = name;
-
-  // Cumulative accounting (trace schema of fl::Trainer).
-  double model_time = 0.0;
-  std::size_t total_uplink_bytes = 0;
-  std::size_t total_downlink_bytes = 0;
-  std::size_t total_dropped = 0;
-  std::size_t total_undelivered = 0;
-  std::size_t total_stragglers = 0;
-  std::size_t total_uplink_retries = 0;
-
-  // x̄_t = Σ_n (D_n/D) x_n — the analysis-side average iterate; equals the
-  // broadcast model at communication rounds. Serial ascending accumulation.
-  std::vector<double> xbar(dim, 0.0);
-  const auto virtual_average = [&]() {
-    tensor::fill(xbar, 0.0);
-    for (std::size_t n = 0; n < num_devices; ++n) {
-      tensor::axpy(fed.weight(n), device_view(x_slab, n), xbar);
-    }
-  };
-  const auto record = [&](std::size_t t, double realized_round_time) {
-    virtual_average();
-    fl::RoundMetrics m;
-    m.round = t;
-    m.train_loss = evaluator.global_loss(xbar);
-    m.test_accuracy = evaluator.test_accuracy(xbar);
-    m.model_time = model_time;
-    m.uplink_bytes = total_uplink_bytes;
-    m.downlink_bytes = total_downlink_bytes;
-    m.comm_bytes = total_uplink_bytes + total_downlink_bytes;
-    m.sample_grad_evals =
-        std::accumulate(grad_evals.begin(), grad_evals.end(), std::size_t{0});
-    m.dropped_devices = total_dropped;
-    m.undelivered_updates = total_undelivered;
-    m.straggler_devices = total_stragglers;
-    m.uplink_retries = total_uplink_retries;
-    m.realized_round_time = realized_round_time;
-    m.param_hash = check::hash_span(xbar);
-    trace.rounds.push_back(m);
-  };
-
-  bool target_reached = false;
-  if (options.eval_initial) {
-    record(0, 0.0);
-    // Early stop can trigger at round 0: a run whose starting model already
-    // meets target_accuracy pays for no iterations at all. (The target
-    // check used to live only inside the iteration loop, so such a run
-    // still paid a full iteration before stopping.)
-    if (options.target_accuracy.has_value() &&
-        trace.rounds.back().test_accuracy >= *options.target_accuracy) {
-      target_reached = true;
-    }
-  }
-
-  std::vector<double> x_next(dim, 0.0);
-  // Head-round survivor bookkeeping, hoisted so capacity is reused.
-  std::vector<double> survivor_weights;
-  std::vector<std::size_t> uplinkers;
-  survivor_weights.reserve(num_devices);
-  uplinkers.reserve(num_devices);
-  // The iteration as a discrete-event schedule (fl/event_engine.h): slot n
-  // is device n (full participation).
-  fl::RoundSchedule schedule;
-
-  for (std::size_t t = 1; t <= options.iterations && !target_reached; ++t) {
-    // The shared skip coin: one draw per iteration, device coordinate 0 of
-    // the kComm stream (per-device comm streams use coordinates >= 1).
-    util::Rng coin_rng = util::fork(options.seed, 0, t, util::stream::kComm);
-    const bool communicate = coin_rng.uniform() < p;
-
-    for (std::size_t n = 0; n < num_devices; ++n) {
-      events[n] = options.faults.sample(options.seed, n, t);
-    }
-    std::fill(realized_uplink.begin(), realized_uplink.end(), 0);
-
-    // Build the event schedule before any device runs: completion
-    // timestamps are d_cmp·slowdown (tau = 1 local step) plus, on
-    // communication rounds, d_com times the retry backoff multiplier. No
-    // deadline here — the realized round time is the last non-crashed
-    // arrival, and the survivor set is exactly the devices whose proposal
-    // reaches the prox step.
-    std::vector<fl::ParticipantOutcome>& outcomes =
-        schedule.reset(num_devices);
-    for (std::size_t n = 0; n < num_devices; ++n) {
-      const fl::FaultEvent& e = events[n];
-      fl::ParticipantOutcome& oc = outcomes[n];
-      oc.device = n;
-      if (e.dropped) {
-        oc.crashed = true;
-        continue;
-      }
-      double t_n = timing.d_cmp * e.slowdown;
-      if (communicate) t_n += timing.d_com * e.com_multiplier(backoff);
-      oc.completion_time = t_n;
-      oc.undelivered = communicate && e.uplink_failed;
-    }
-    schedule.build(std::nullopt);
-
-    if (communicate && options.comm.error_feedback) {
-      // Serial registration of this round's uplinkers' error-feedback
-      // residual slots: the parallel section below must never mutate keyed
-      // channel state.
-      uplinkers.clear();
-      for (std::size_t n = 0; n < num_devices; ++n) {
-        if (!events[n].dropped && !events[n].uplink_failed) {
-          uplinkers.push_back(n);
-        }
-      }
-      channel.prepare(uplinkers);
-    }
-
-    // Local step (Alg. line "x̂ = x − γ(g − h)") on every live device.
-    for_each_device([&](std::size_t n) {
-      if (events[n].dropped) return;  // crashed: x_n, h_n stay put
-      const data::Dataset& ds = fed.train[n];
-      const std::size_t batch = std::min(options.batch_size, ds.size());
-      util::Rng rng = util::fork(options.seed, n + 1, t,
-                                 util::stream::kSampling);
-      const opt::WorkspacePool::Lease lease(ws_pool);
-      opt::SolverWorkspace& ws = *lease;
-      std::vector<std::size_t>& idx = ws.batch;
-      // lint:allow(no-alloc-in-hot-loop) no-op once the pooled workspace is warm
-      idx.resize(batch);
-      for (auto& i : idx) i = rng.below(ds.size());
-
-      // SVRG estimator: ∇f_B(x_n) − ∇f_B(anchor) + ∇F_n(anchor), with the
-      // same minibatch at both points (eq. 8b).
-      std::vector<double>& g = ws.grad_curr;
-      // lint:allow(no-alloc-in-hot-loop) no-op once the pooled workspace is warm
-      g.resize(dim);
-      std::vector<double>& g_anchor = ws.grad_ref;
-      // lint:allow(no-alloc-in-hot-loop) no-op once the pooled workspace is warm
-      g_anchor.resize(dim);
-      const std::span<double> xn = device_view(x_slab, n);
-      const std::span<const double> hn = device_view(h_slab, n);
-      const std::span<const double> agn = device_view(anchor_grad_slab, n);
-      model->loss_and_gradient(xn, ds, idx, g);
-      model->loss_and_gradient(anchor, ds, idx, g_anchor);
-      grad_evals[n] += 2 * batch;
-      // v = g − g_anchor + anchor_grad; x̂ = x − γ(v − h), written in place.
-      for (std::size_t i = 0; i < dim; ++i) {
-        const double v = g[i] - g_anchor[i] + agn[i];
-        xn[i] -= gamma * (v - hn[i]);
-      }
-
-      if (communicate && !events[n].uplink_failed) {
-        // Proposal y_n = x̂_n − (γ/p) h_n, uploaded as a delta against the
-        // shared anchor so sparsification/quantization compress the small
-        // innovation, not the full model.
-        const std::span<double> up = device_view(uploads_slab, n);
-        for (std::size_t i = 0; i < dim; ++i) {
-          up[i] = xn[i] - gamma_over_p * hn[i] - anchor[i];
-        }
-        util::Rng comm_rng =
-            util::fork(options.seed, n + 1, t, util::stream::kComm);
-        realized_uplink[n] = channel.uplink(n, up, comm_rng);
-      }
-    });
-
-    // ---- Serial accounting & (on heads) the consensus prox step. ----
-    for (std::size_t n = 0; n < num_devices; ++n) {
-      const fl::FaultEvent& e = events[n];
-      if (e.dropped) {
-        ++total_dropped;
-        continue;  // a crash is detected immediately: no time charged
-      }
-      if (e.straggler) ++total_stragglers;
-      if (communicate) {
-        total_uplink_retries += e.uplink_retries;
-        // Transmitted but lost after the retry budget: undelivered, not
-        // "dropped" — dropped counts crashes only (CSV schema v2).
-        if (e.uplink_failed) ++total_undelivered;
-      }
-    }
-    // The iteration costs model time until the event queue drains: the last
-    // non-crashed arrival's timestamp from the schedule built above.
-    const double realized_round_time = schedule.realized_round_time();
-    model_time += realized_round_time;
-
-    if (communicate) {
-      // Byte accounting: every non-crashed device transmits (lost attempts
-      // included, at the a-priori wire size); the broadcast reaches the
-      // whole fleet.
-      for (std::size_t n = 0; n < num_devices; ++n) {
-        if (events[n].dropped) continue;
-        const std::size_t per_attempt = realized_uplink[n] > 0
-                                            ? realized_uplink[n]
-                                            : channel.uplink_wire_bytes();
-        total_uplink_bytes += events[n].uplink_attempts() * per_attempt;
-      }
-
-      // Survivors straight off the event schedule (slot == device here):
-      // not crashed, proposal delivered — ascending device order.
-      const std::span<const std::size_t> survivors = schedule.survivors();
-      survivor_weights.clear();
-      for (const std::size_t n : survivors) {
-        survivor_weights.push_back(fed.weight(n));
-      }
-      // Reduced through the sanctioned helper — bit-identical to the
-      // historical inline accumulation.
-      const double weight_sum = tensor::sum(survivor_weights);
-      if (!survivors.empty()) {
-        total_downlink_bytes += num_devices * channel.downlink_wire_bytes();
-        // x_{t+1} = anchor + Σ survivors (w_n / Σw) (decoded delta_n),
-        // ascending device order (determinism contract).
-        tensor::copy(anchor, x_next);
-        for (const std::size_t n : survivors) {
-          tensor::axpy(fed.weight(n) / weight_sum,
-                       device_view(uploads_slab, n), x_next);
-        }
-        // Reliable downlink: every device adopts the consensus and updates
-        // its control variate against its own x̂ (a crashed device's x̂ is
-        // its unchanged x_n).
-        for_each_device([&](std::size_t n) {
-          const std::span<double> hn = device_view(h_slab, n);
-          const std::span<double> xn = device_view(x_slab, n);
-          for (std::size_t i = 0; i < dim; ++i) {
-            hn[i] += p_over_gamma * (x_next[i] - xn[i]);
-          }
-          tensor::copy(x_next, xn);
-        });
-        tensor::copy(x_next, anchor);
-        // Refresh the SVRG anchor gradients at the new consensus.
-        for_each_device(refresh_anchor_gradients);
-      }
-      // Zero survivors: the round degrades to a skip round — no broadcast,
-      // no h update; the uplink attempts above are still charged.
-    }
-
-    const bool last = t == options.iterations;
-    if (t % options.eval_every == 0 || last) {
-      record(t, realized_round_time);
-      if (options.target_accuracy.has_value() &&
-          trace.rounds.back().test_accuracy >= *options.target_accuracy) {
-        target_reached = true;
-      }
-    }
-  }
-
-  virtual_average();
-  trace.final_parameters = xbar;
-  trace.final_param_hash = check::hash_span(trace.final_parameters);
-  return trace;
+  const auto policy = make_proxskip_vr_policy(options);
+  const fl::Trainer trainer(std::move(model), fed, trainer_options(options));
+  return trainer.run(*policy, name, std::move(w0));
 }
 
 }  // namespace fedvr::core

@@ -34,6 +34,10 @@
 // per-device randomness (minibatch, compressor) uses the same
 // per-(seed, device, round) forking as fl::Trainer, so traces are
 // bit-identical for any thread-pool size.
+//
+// ProxSkip-VR is a round policy of fl::Trainer (fl/round_policy.h): one
+// iteration is one engine round with τ = 1, and the engine does all that
+// is not ProxSkip-specific (faults, ledgers, evaluation, observability).
 #pragma once
 
 #include <memory>
@@ -46,6 +50,7 @@
 #include "fl/faults.h"
 #include "fl/metrics.h"
 #include "fl/timing_model.h"
+#include "fl/trainer.h"
 #include "nn/model.h"
 
 namespace fedvr::core {
@@ -73,14 +78,28 @@ struct ProxSkipVROptions {
   /// byte-derived link timing) — same options as fl::TrainerOptions::comm.
   comm::ChannelOptions comm;
   /// Crash / straggler / lossy-uplink injection. Corruption faults are not
-  /// supported by this engine (no server-side defense layer here); enabling
-  /// them is a configuration error.
+  /// supported by this algorithm (its server step has no defense layer);
+  /// enabling them is a configuration error.
   fl::FaultModel faults;
   bool parallel = true;
 
-  /// Always-on validation (util/error.h), called by run_proxskip_vr.
+  /// Always-on validation (util/error.h) of the ProxSkip-specific fields,
+  /// called by run_proxskip_vr; the engine validates the rest.
   void validate() const;
 };
+
+/// ProxSkip-VR as an fl::Trainer round policy, for runs the wrapper below
+/// does not cover (observability, data::Federation fleets). Reads
+/// step_size, skip_prob and batch_size; run it on a Trainer built with
+/// trainer_options(options). Needs full participation: every device holds
+/// a live iterate and control variate between rounds (O(N·dim) state).
+[[nodiscard]] std::unique_ptr<fl::RoundPolicy> make_proxskip_vr_policy(
+    const ProxSkipVROptions& options);
+
+/// The engine options ProxSkip-VR runs with: one round per iteration, full
+/// participation, the final iteration always evaluated.
+[[nodiscard]] fl::TrainerOptions trainer_options(
+    const ProxSkipVROptions& options);
 
 /// Runs ProxSkip-VR and returns a trace in the same schema as fl::Trainer.
 ///

@@ -1,7 +1,9 @@
 #include "data/federation.h"
 
+#include <algorithm>
 #include <cmath>
 #include <utility>
+#include <vector>
 
 #include "check/check.h"
 #include "util/error.h"
@@ -97,10 +99,23 @@ VirtualFederation make_synthetic_virtual(const SyntheticConfig& config,
                                   Dataset& out) {
     out = make_synthetic_device(config, device, num_samples);
   };
-  // The pooled test set comes from the reserved device index num_devices
-  // (fork coordinate num_devices + 1), which no training device uses.
-  Dataset pooled =
-      make_synthetic_device(config, config.num_devices, pooled_test_samples);
+  // The pooled test set: held-out samples of a seed-drawn set of fleet
+  // devices, ~kHeldOut each, so it follows the fleet's distribution. The
+  // draw re-seeds from a fork's output (see make_synthetic_device).
+  constexpr std::size_t kHeldOut = 4;
+  const std::size_t test_devices =
+      std::min(config.num_devices,
+               (pooled_test_samples + kHeldOut - 1) / kHeldOut);
+  util::Rng pick(util::fork(config.seed, 0, 2, util::stream::kData)());
+  std::vector<std::size_t> devices;
+  pick.sample_subset_sorted(config.num_devices, test_devices, devices);
+  Dataset pooled;
+  for (std::size_t i = 0; i < test_devices; ++i) {
+    const std::size_t k = pooled_test_samples / test_devices +
+                          (i < pooled_test_samples % test_devices ? 1 : 0);
+    pooled.append(make_synthetic_device(config, devices[i], k,
+                                        /*held_out=*/true));
+  }
   return VirtualFederation(config.num_devices, size_fn, generator,
                            std::move(pooled));
 }

@@ -153,8 +153,8 @@ class VirtualFederation final : public Federation {
 /// devices: shard contents from make_synthetic_device, per-device power-law
 /// sizes from an *independent* lognormal draw per device (rank-free — the
 /// fleet-wide rescaling of power_law_sizes needs all N draws at once), and
-/// a pooled test set generated from the reserved device index
-/// config.num_devices. Deterministic in config.seed.
+/// a pooled test set of held-out samples from a seed-drawn set of fleet
+/// devices (about 4 per device). Deterministic in config.seed.
 [[nodiscard]] VirtualFederation make_synthetic_virtual(
     const SyntheticConfig& config, std::size_t pooled_test_samples = 256);
 

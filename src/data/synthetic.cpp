@@ -39,7 +39,8 @@ std::vector<std::size_t> power_law_sizes(std::size_t num_devices,
 }
 
 Dataset make_synthetic_device(const SyntheticConfig& config,
-                              std::size_t device, std::size_t num_samples) {
+                              std::size_t device, std::size_t num_samples,
+                              bool held_out) {
   const std::size_t d = config.dim;
   const std::size_t c = config.num_classes;
   util::Rng rng =
@@ -61,6 +62,13 @@ Dataset make_synthetic_device(const SyntheticConfig& config,
   std::vector<double> sigma_diag(d);
   for (std::size_t j = 0; j < d; ++j) {
     sigma_diag[j] = std::pow(static_cast<double>(j + 1), -1.2);
+  }
+  if (held_out) {
+    // Same device model, samples from a stream of their own. It re-seeds
+    // from a fork's output: fork's coordinates mix almost linearly, so a
+    // fork alone can equal another device's stream; its output cannot.
+    rng = util::Rng(
+        util::fork(config.seed, device + 1, 2, util::stream::kData)());
   }
 
   Dataset out(tensor::Shape({d}), num_samples, c);

@@ -39,10 +39,13 @@ struct SyntheticConfig {
 /// Generates the full federated dataset: one (train, test) pair per device.
 [[nodiscard]] FederatedDataset make_synthetic(const SyntheticConfig& config);
 
-/// Generates device k's raw (unsplit) local dataset — exposed for tests.
+/// Generates device k's raw (unsplit) local dataset. With `held_out`, the
+/// samples follow the same device model but come from a separate stream,
+/// so they share none with the device's data (virtual-fleet test sets).
 [[nodiscard]] Dataset make_synthetic_device(const SyntheticConfig& config,
                                             std::size_t device,
-                                            std::size_t num_samples);
+                                            std::size_t num_samples,
+                                            bool held_out = false);
 
 /// IID control federation: every device samples from the *same* global
 /// model and feature distribution (u_k, v_k, W_k, b_k shared), so the only

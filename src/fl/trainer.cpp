@@ -23,21 +23,222 @@ namespace fedvr::fl {
 
 namespace {
 
-// Flips the global obs collection flag for the duration of a profiled run
-// and restores the previous state on exit (exceptions included).
-class ScopedObsEnable {
+// The FedProxVR family (Algorithm 1 lines 2-12): every survivor runs its
+// LocalSolver from w̄^(s-1), its update crosses the channel and may be
+// corrupted, server defense screens it, and the Aggregator seam forms w̄^(s).
+class LocalSolverPolicy final : public RoundPolicy {
  public:
-  explicit ScopedObsEnable(bool enable)
-      : active_(enable), previous_(enable ? obs::set_enabled(true) : false) {}
-  ScopedObsEnable(const ScopedObsEnable&) = delete;
-  ScopedObsEnable& operator=(const ScopedObsEnable&) = delete;
-  ~ScopedObsEnable() {
-    if (active_) obs::set_enabled(previous_);
+  LocalSolverPolicy(
+      std::function<const opt::LocalSolver&(std::size_t)> solver_for,
+      std::size_t tau)
+      : solver_for_(std::move(solver_for)), tau_(tau) {}
+
+  std::size_t allocate(const RunContext& run,
+                       std::span<const double> w0) override {
+    run_.emplace(run);
+    const TrainerOptions& o = run.options;
+    w_global_.assign(w0.begin(), w0.end());
+    w_prev_.resize(w0.size());
+    // Null selects the weighted mean (bit-identical to the pre-seam trainer).
+    aggregator_ =
+        o.aggregator ? o.aggregator : make_aggregator(AggregatorKind::kMean);
+    stale_replay_possible_ = o.faults.enabled() &&
+                             o.faults.config().corruption_enabled() &&
+                             o.faults.config().corrupt_stale_weight > 0.0;
+    strikes_.clear();
+    quarantined_until_.clear();
+    replay_cache_.clear();
+    return 0;
   }
 
+  [[nodiscard]] std::size_t local_steps() const override { return tau_; }
+
+  bool open_round(std::size_t round,
+                  std::vector<std::size_t>& participants) override {
+    // Quarantined devices are not scheduled at all: no broadcast, no
+    // compute, no uplink. Filtered AFTER the selection draw so enabling
+    // quarantine never perturbs the kSelection RNG stream.
+    if (run_->options.defense.quarantine_enabled()) {
+      std::erase_if(participants, [&](std::size_t device) {
+        const auto it = quarantined_until_.find(device);
+        if (it == quarantined_until_.end() || it->second < round) {
+          return false;
+        }
+        OBS_SPAN("round.defense.quarantined");
+        FEDVR_OBS_COUNT("fl.defense.quarantined_device_rounds", 1);
+        return true;
+      });
+    }
+    // Slot-keyed local models; inner capacities survive the resize.
+    locals_.resize(participants.size());
+    if (stale_replay_possible_) {
+      // Serial registration: the parallel solve only writes each device's
+      // own pre-existing entry (an empty one reads as "never uploaded").
+      for (const std::size_t device : participants) {
+        replay_cache_.try_emplace(device);
+      }
+    }
+    return true;
+  }
+
+  SlotWork solve(const RoundState& r, std::size_t k,
+                 opt::SolverWorkspace& ws) override {
+    const TrainerOptions& o = run_->options;
+    const std::size_t device = r.participants[k];
+    const FaultEvent& event = r.events[k];
+    const ParticipantOutcome& oc = r.schedule.outcome(k);
+    // An update that cannot reach the server in time is not simulated: its
+    // wasted compute shows in the fault counters, not in gradient counts.
+    if (oc.undelivered || oc.missed_deadline) return {};
+    std::vector<double>& local = locals_[k];
+    if (event.corruption == CorruptionKind::kStaleReplay) {
+      // The device free-rides: it re-sends whatever it uploaded last (or
+      // echoes the broadcast model if it never uploaded) and runs nothing.
+      const std::vector<double>& sent = replay_cache_.find(device)->second;
+      const std::vector<double>& echo = sent.empty() ? w_global_ : sent;
+      local.assign(echo.begin(), echo.end());
+      return {};
+    }
+    util::Rng rng =
+        util::fork(o.seed, device + 1, r.round, util::stream::kSampling);
+    // On-demand shard materialization (data/federation.h).
+    data::Dataset shard_scratch;
+    const data::Dataset& shard = run_->fed.train(device, shard_scratch);
+    const auto result =
+        solver_for_(device).solve(shard, w_global_, rng, ws, local);
+    SlotWork work{.inner_iterations = result.iterations_run,
+                  .sample_grad_evals = result.sample_gradient_evals,
+                  .theta = result.measured_theta};
+    if (o.comm.transforms_uplink()) {
+      // Uplink the update delta through the comm seam (error feedback,
+      // compression, wire encode/decode); the server reconstructs
+      // anchor + decoded delta.
+      std::vector<double>& delta = ws.delta;
+      delta.resize(w_global_.size());
+      tensor::sub(local, w_global_, delta);
+      util::Rng comm_rng =
+          util::fork(o.seed, device + 1, r.round, util::stream::kComm);
+      work.uplink_bytes = r.channel.uplink(device, delta, comm_rng);
+      tensor::copy(w_global_, local);
+      tensor::axpy(1.0, delta, local);
+    }
+    // Corruption mangles the transmitted bytes, so it applies after
+    // compression. Deterministic per (seed, device, round): the kind was
+    // fixed by the fault draw and the mangling reads only device-local
+    // state, so corrupted traces stay pool-size-independent.
+    switch (event.corruption) {
+      case CorruptionKind::kNanInject: {
+        // Sparse deterministic poison: coordinate (device + s) mod dim,
+        // then every 64th after it, alternating NaN and +Inf.
+        bool use_nan = true;
+        for (std::size_t j = (device + r.round) % local.size();
+             j < local.size(); j += 64) {
+          local[j] = use_nan ? std::numeric_limits<double>::quiet_NaN()
+                             : std::numeric_limits<double>::infinity();
+          use_nan = !use_nan;
+        }
+        break;
+      }
+      case CorruptionKind::kSignFlip:
+        // w̄ - δ, i.e. 2·w̄ - w_n: the update pushes the wrong way.
+        tensor::scal(-1.0, local);
+        tensor::axpy(2.0, w_global_, local);
+        break;
+      case CorruptionKind::kScale: {
+        // w̄ + f·δ, i.e. f·w_n + (1-f)·w̄: a magnitude explosion (or
+        // collapse) along the honest direction.
+        const double f = o.faults.config().corrupt_scale_factor;
+        tensor::scal(f, local);
+        tensor::axpy(1.0 - f, w_global_, local);
+        break;
+      }
+      case CorruptionKind::kNone:
+      case CorruptionKind::kStaleReplay:
+        break;  // replay returned above
+    }
+    if (stale_replay_possible_) {
+      // Remember what this device sent (post-corruption bytes) for a later
+      // kStaleReplay; only this device's pre-created entry is written.
+      replay_cache_.find(device)->second.assign(local.begin(), local.end());
+    }
+    return work;
+  }
+
+  CombineResult combine(const RoundState& r) override {
+    const DefenseOptions& defense = run_->options.defense;
+    // Server-side defense, then line 12 through the Aggregator seam.
+    // Validation is ALWAYS-ON (not FEDVR_CHECKS-gated): a server must
+    // reject a poisoned update, not assert on it.
+    tensor::copy(w_global_, w_prev_);
+    accepted_.clear();
+    CombineResult out;
+    for (const std::size_t k : r.schedule.survivors()) {
+      const std::size_t device = r.participants[k];
+      FEDVR_CHECK_SHAPE(locals_[k].size(), w_global_.size());
+      bool ok = !defense.reject_non_finite || check::all_finite(locals_[k]);
+      if (ok && defense.update_norm_bound > 0.0) {
+        const double bound = defense.update_norm_bound;
+        // NaN distances compare false, so a non-finite update that slipped
+        // past a disabled finiteness check still fails here.
+        ok = tensor::squared_distance(locals_[k], w_prev_) <= bound * bound;
+      }
+      if (ok) {
+        accepted_.push_back(k);
+        continue;
+      }
+      ++out.rejected_updates;
+      OBS_SPAN("round.defense.reject");
+      FEDVR_OBS_COUNT("fl.defense.rejected_updates", 1);
+      if (defense.quarantine_enabled() &&
+          ++strikes_[device] >= defense.quarantine_strikes) {
+        // Quarantine starts next round; the strike counter resets so a
+        // repeat offender re-earns its next quarantine from zero.
+        quarantined_until_[device] = r.round + defense.quarantine_rounds;
+        strikes_[device] = 0;
+        FEDVR_OBS_COUNT("fl.defense.quarantines", 1);
+      }
+    }
+    // Aggregate the accepted updates, ascending device order. A round with
+    // nothing accepted keeps w̄^(s-1) unchanged.
+    if (!accepted_.empty()) {
+      update_views_.clear();
+      update_weights_.clear();
+      for (const std::size_t k : accepted_) {
+        update_views_.emplace_back(locals_[k]);
+        update_weights_.push_back(run_->fed.weight(r.participants[k]));
+      }
+      aggregator_->aggregate(w_prev_, update_views_, update_weights_,
+                             w_global_);
+      // Belt and braces: with reject_non_finite off and a non-robust
+      // aggregator, fail at the round that aggregated the poison.
+      FEDVR_CHECK_FINITE(w_global_, "aggregated global model");
+    }
+    return out;
+  }
+
+  std::span<const double> model() override { return w_global_; }
+
  private:
-  bool active_;
-  bool previous_;
+  std::function<const opt::LocalSolver&(std::size_t)> solver_for_;
+  std::size_t tau_;
+  std::optional<RunContext> run_;
+  std::shared_ptr<const Aggregator> aggregator_;
+  bool stale_replay_possible_ = false;
+
+  std::vector<double> w_global_;  // w̄^(s)
+  std::vector<double> w_prev_;    // w̄^(s-1): aggregation anchor
+  std::vector<std::vector<double>> locals_;  // slot-keyed: O(m·dim)
+  std::vector<std::size_t> accepted_;
+  std::vector<std::span<const double>> update_views_;
+  std::vector<double> update_weights_;
+
+  // Server-defense state keyed by device id: strike counts and the round
+  // until which each device stays quarantined (inclusive). Mutated only
+  // serially and never iterated (map order is not deterministic).
+  std::unordered_map<std::size_t, std::size_t> strikes_;
+  std::unordered_map<std::size_t, std::size_t> quarantined_until_;
+  // The last update each device actually sent, for stale replays.
+  std::unordered_map<std::size_t, std::vector<double>> replay_cache_;
 };
 
 }  // namespace
@@ -71,14 +272,6 @@ Trainer::Trainer(std::shared_ptr<const nn::Model> model,
                         << *options_.devices_per_round);
   }
   options_.defense.validate();
-  // Adopt the deprecated pre-comm-seam compressor knob into the channel;
-  // configuring both is ambiguous and rejected.
-  if (options_.uplink_compressor) {
-    FEDVR_CHECK_MSG(options_.comm.compressor == nullptr,
-                    "set either TrainerOptions::comm.compressor or the "
-                    "deprecated uplink_compressor, not both");
-    options_.comm.compressor = options_.uplink_compressor;
-  }
   options_.comm.validate();
   FEDVR_CHECK_MSG(options_.per_device_timing.empty() ||
                       options_.per_device_timing.size() == fed_->num_devices(),
@@ -181,10 +374,10 @@ double Trainer::test_accuracy(std::span<const double> w) const {
 TrainingTrace Trainer::run(const opt::LocalSolver& solver,
                            const std::string& name,
                            std::optional<std::vector<double>> w0) const {
-  return run_impl([&solver](std::size_t) -> const opt::LocalSolver& {
-                    return solver;
-                  },
-                  solver.options().tau, name, std::move(w0));
+  LocalSolverPolicy policy(
+      [&solver](std::size_t) -> const opt::LocalSolver& { return solver; },
+      solver.options().tau);
+  return run(policy, name, std::move(w0));
 }
 
 TrainingTrace Trainer::run(std::span<const opt::LocalSolver> solvers,
@@ -198,582 +391,386 @@ TrainingTrace Trainer::run(std::span<const opt::LocalSolver> solvers,
   for (const auto& s : solvers) {
     max_tau = std::max(max_tau, s.options().tau);
   }
-  return run_impl([solvers](std::size_t device) -> const opt::LocalSolver& {
-                    return solvers[device];
-                  },
-                  max_tau, name, std::move(w0));
+  LocalSolverPolicy policy(
+      [solvers](std::size_t device) -> const opt::LocalSolver& {
+        return solvers[device];
+      },
+      max_tau);
+  return run(policy, name, std::move(w0));
 }
 
-TrainingTrace Trainer::run_impl(
-    const std::function<const opt::LocalSolver&(std::size_t)>& solver_for,
-    std::size_t timing_tau, const std::string& name,
-    std::optional<std::vector<double>> w0) const {
-  const std::size_t dim = model_->num_parameters();
-  const std::size_t num_devices = fed_->num_devices();
+namespace {
 
-  std::vector<double> w_global;
-  if (w0.has_value()) {
-    FEDVR_CHECK(w0->size() == dim);
-    w_global = std::move(*w0);
-  } else {
-    util::Rng init_rng =
-        util::fork(options_.seed, 0, 0, util::stream::kInit);
-    w_global = model_->initial_parameters(init_rng);
+// One run of the round engine: the per-run state and the six stages of a
+// round (select → schedule → solve → combine → account → evaluate), called
+// in that order by run(). Round state is keyed by participant SLOT (index
+// into participants_), never by device id, and keeps its capacity across
+// rounds: a steady-state round allocates nothing here and costs O(m·dim)
+// at any fleet size.
+class RoundEngine {
+ public:
+  RoundEngine(const Trainer& trainer, const nn::Model& model,
+              const data::Federation& fed, RoundPolicy& policy)
+      : trainer_(trainer),
+        options_(trainer.options()),
+        fed_(fed),
+        policy_(policy),
+        run_{model, fed, trainer.options()},
+        obs_on_(options_.observability.enabled),
+        channel_(options_.comm, fed.num_devices(), model.num_parameters()),
+        profiler_(obs_on_),
+        // Collection is process-global while the run is active; the
+        // previous state comes back when the engine goes (throws included).
+        obs_was_on_(obs_on_ && obs::set_enabled(true)) {}
+  RoundEngine(const RoundEngine&) = delete;
+  ~RoundEngine() {
+    if (obs_on_) obs::set_enabled(obs_was_on_);
   }
 
-  TrainingTrace trace;
-  trace.algorithm = name;
-  util::Stopwatch wall;
-  double model_time = 0.0;
+  TrainingTrace run(const std::string& name, std::span<const double> w0) {
+    TrainingTrace trace;
+    trace.algorithm = name;
+    ledger_.sample_grad_evals = policy_.allocate(run_, w0);
+    wall_.reset();
 
-  const bool obs_on = options_.observability.enabled;
-  ScopedObsEnable obs_guard(obs_on);
-  obs::RoundProfiler profiler(obs_on);
+    // Early stop can trigger at round 0: a run whose starting model
+    // already meets target_accuracy pays for no rounds at all.
+    bool target_reached = false;
+    const auto record = [&](std::size_t s) {
+      const RoundMetrics& m = trace.rounds.emplace_back(evaluate(s));
+      FEDVR_LOG_DEBUG << name << " round " << s << " loss " << m.train_loss
+                      << " acc " << m.test_accuracy;
+      target_reached = options_.target_accuracy &&
+                       m.test_accuracy >= *options_.target_accuracy;
+    };
+    if (options_.eval_initial) record(0);
 
-  // Early stop can trigger at round 0: a run whose starting model already
-  // meets target_accuracy pays for no rounds at all. (The target check used
-  // to live only inside the round loop, so such a run still trained a full
-  // round before stopping.)
-  bool target_reached = false;
-  if (options_.eval_initial) {
-    RoundMetrics m;
-    m.round = 0;
-    m.train_loss = global_loss(w_global);
-    m.test_accuracy = test_accuracy(w_global);
-    if (options_.eval_grad_norm) {
-      m.grad_norm_sq = global_grad_norm_sq(w_global);
-    }
-    trace.rounds.push_back(m);
-    if (options_.target_accuracy &&
-        m.test_accuracy >= *options_.target_accuracy) {
-      target_reached = true;
-    }
-  }
-
-  // Round state keyed by participant SLOT (index into this round's
-  // `participants`), never by device id: every buffer is sized by the
-  // participant count m, so a round costs O(m·dim) memory at any fleet
-  // size. Buffers keep their capacity across rounds — a steady-state round
-  // allocates nothing here.
-  std::vector<std::vector<double>> locals;   // slot-keyed local models
-  std::vector<double> thetas;                // slot-keyed θ diagnostics
-  std::vector<std::size_t> grad_evals;       // slot-keyed, this round
-  std::size_t total_uplink_bytes = 0;
-  std::size_t total_downlink_bytes = 0;
-  std::size_t total_grad_evals = 0;
-
-  // The device<->server link (src/comm): every uplink flows through the
-  // channel — error feedback, compression, serialization — and all byte
-  // accounting is measured from serialized comm::Message sizes. Per-run
-  // state (error-feedback residuals) lives here, keyed by device and
-  // registered per round via prepare().
-  comm::Channel channel(options_.comm, num_devices, dim);
-  const bool channel_transforms = options_.comm.transforms_uplink();
-  const bool byte_timing = options_.comm.byte_timing;
-  // Realized uplink message size per slot this round (0 = not uplinked
-  // through the channel; charged at the a-priori size instead). Written
-  // only from each device's own solve slot, so the parallel path is safe.
-  std::vector<std::size_t> realized_uplink;
-
-  // Cumulative fault accounting (all stay zero on the no-fault path).
-  const bool faults_on = options_.faults.enabled();
-  std::size_t total_dropped = 0;
-  std::size_t total_undelivered = 0;
-  std::size_t total_stragglers = 0;
-  std::size_t total_uplink_retries = 0;
-  std::size_t total_deadline_misses = 0;
-  std::size_t total_corrupted = 0;
-  std::size_t total_rejected = 0;
-  std::size_t total_quarantined = 0;
-
-  // The line-12 aggregation rule: a null option selects the weighted mean,
-  // whose reduce order and arithmetic are bit-identical to the pre-seam
-  // trainer (tested against pinned trace hashes).
-  const std::shared_ptr<const Aggregator> aggregator =
-      options_.aggregator ? options_.aggregator
-                          : make_aggregator(AggregatorKind::kMean);
-
-  // Server-defense state, keyed by device id (a sampled run only ever
-  // touches the devices that actually participate): per-device strike
-  // counters and the round until which each device stays quarantined
-  // (inclusive). Mutated only in serial passes, never iterated — map order
-  // could not be deterministic, and nothing here needs it.
-  std::unordered_map<std::size_t, std::size_t> strikes;
-  std::unordered_map<std::size_t, std::size_t> quarantined_until;
-
-  // Stale-replay cache, keyed by device id: the last update each device
-  // actually sent (post-corruption bytes), re-sent verbatim when a
-  // kStaleReplay round fires. Entries are created serially before the
-  // parallel solve pass; the parallel path only reads the map and writes
-  // each device's own pre-existing vector. Engaged only when the fault
-  // model can draw kStaleReplay at all.
-  const bool stale_replay_possible =
-      faults_on && options_.faults.config().corruption_enabled() &&
-      options_.faults.config().corrupt_stale_weight > 0.0;
-  std::unordered_map<std::size_t, std::vector<double>> replay_cache;
-
-  // Round-scoped scratch, hoisted out of the loop: the pre-defense global
-  // model w̄^(s-1) (the aggregation anchor and norm-bound reference), the
-  // accepted-update views handed to the aggregator, and the participation
-  // bookkeeping — all keep their capacity across rounds.
-  std::vector<double> w_prev(dim);
-  std::vector<std::size_t> accepted;
-  std::vector<std::span<const double>> update_views;
-  std::vector<double> update_weights;
-  // This round's scheduled participants, ascending device order (all N, or
-  // m of them drawn by Floyd's sampler in O(m)).
-  std::vector<std::size_t> participants;
-  // Survivor device ids handed to channel.prepare() each round.
-  std::vector<std::size_t> uplinkers;
-  std::vector<FaultEvent> events;
-  // The round as a discrete-event schedule (fl/event_engine.h): completion
-  // timestamps, arrival order, survivors, realized round time.
-  RoundSchedule schedule;
-
-  // Per-device solver workspaces, one per peak-concurrent activation:
-  // every inner-loop buffer (iterates, estimator directions, batch
-  // indices, the uplink delta) is acquired once and reused across local
-  // epochs and rounds, so steady-state solves are allocation-free.
-  opt::WorkspacePool ws_pool;
-
-  for (std::size_t s = 1; !target_reached && s <= options_.rounds; ++s) {
-    profiler.begin_round(s, num_devices);
-    {
-      OBS_SPAN("round");
-
-      // Realized synchronous-barrier time of this round: when the server's
-      // event queue drains (capped by the deadline). Set after build().
-      double realized_round_time = 0.0;
+    // Profiler samples are slot-keyed: the round's scheduled count, known
+    // before selection, bounds them (O(m), not O(fleet)).
+    const std::size_t slots =
+        options_.devices_per_round.value_or(fed_.num_devices());
+    for (std::size_t s = 1; !target_reached && s <= options_.rounds; ++s) {
+      profiler_.begin_round(s, slots);
       {
-        obs::RoundProfiler::ScopedPhase phase(profiler,
-                                              obs::Phase::kBroadcast);
-        OBS_SPAN("round.broadcast");
-        if (options_.devices_per_round &&
-            *options_.devices_per_round < num_devices) {
-          util::Rng select_rng =
-              util::fork(options_.seed, 0, s, util::stream::kSelection);
-          // Floyd's subset sampler: O(m) time and memory however large the
-          // fleet is (the historical partial Fisher-Yates pass shuffled an
-          // N-sized index array per round).
-          select_rng.sample_subset_sorted(
-              num_devices, *options_.devices_per_round, participants);
-        } else {
-          participants.resize(num_devices);
-          std::iota(participants.begin(), participants.end(), 0);
-        }
-
-        // Quarantined devices are not scheduled at all: no broadcast, no
-        // compute, no uplink. Filtered AFTER the selection draw so enabling
-        // quarantine never perturbs the kSelection RNG stream.
-        if (options_.defense.quarantine_enabled()) {
-          std::erase_if(participants, [&](std::size_t device) {
-            const auto it = quarantined_until.find(device);
-            if (it == quarantined_until.end() || it->second < s) return false;
-            ++total_quarantined;
-            OBS_SPAN("round.defense.quarantined");
-            FEDVR_OBS_COUNT("fl.defense.quarantined_device_rounds", 1);
-            return true;
-          });
-        }
-
-        // Fault + timing pre-pass, two passes over the slots. Pass 1 fills
-        // the event schedule: fault events are a pure function of
-        // (seed, device, round) — bit-identical across thread-pool sizes —
-        // and completion timestamps are model time (d_com·mult + d_cmp·τ·
-        // slowdown), so arrival order, survivor status, and the realized
-        // round time are all known before any solver runs.
-        events.assign(participants.size(), FaultEvent{});
-        std::vector<ParticipantOutcome>& outcomes =
-            schedule.reset(participants.size());
-        for (std::size_t k = 0; k < participants.size(); ++k) {
-          const std::size_t device = participants[k];
-          if (faults_on) {
-            events[k] = options_.faults.sample(options_.seed, device, s);
-          }
-          ParticipantOutcome& oc = outcomes[k];
-          oc.device = device;
-          if (events[k].dropped) {
-            oc.crashed = true;
-            continue;
-          }
-          TimingModel timing = options_.per_device_timing.empty()
-                                   ? options_.timing
-                                   : options_.per_device_timing[device];
-          if (byte_timing) {
-            // d_com from actual serialized bytes: the link model splits the
-            // analytic d_com into latency + bandwidth calibrated so a dense
-            // float64 exchange still costs exactly d_com; compressed or
-            // quantized messages cost proportionally less.
-            timing.d_com = channel.link_round_time(timing);
-          }
-          oc.completion_time =
-              faults_on ? timing.round_time(
-                              timing_tau, events[k].slowdown,
-                              events[k].com_multiplier(
-                                  options_.faults.config().retry_backoff))
-                        : timing.round_time(timing_tau);
-          oc.undelivered = events[k].uplink_failed;
-        }
-        schedule.build(options_.round_deadline);
-        realized_round_time = schedule.realized_round_time();
-
-        // Pass 2: fault accounting + obs spans, ascending slot order (the
-        // same per-device emission order as the historical barrier loop).
-        for (std::size_t k = 0; k < participants.size(); ++k) {
-          const FaultEvent& event = events[k];
-          const ParticipantOutcome& oc = schedule.outcome(k);
-          if (oc.crashed) {
-            // A crash is detected immediately (connection loss): the device
-            // holds up neither the event queue nor the model.
-            ++total_dropped;
-            OBS_SPAN("round.fault.dropout");
-            FEDVR_OBS_COUNT("fl.faults.dropout", 1);
-            continue;
-          }
-          if (event.straggler) {
-            ++total_stragglers;
-            OBS_SPAN("round.fault.straggler");
-            FEDVR_OBS_COUNT("fl.faults.straggler", 1);
-          }
-          if (event.uplink_retries > 0) {
-            total_uplink_retries += event.uplink_retries;
-            OBS_SPAN("round.fault.uplink_retry");
-            FEDVR_OBS_COUNT("fl.faults.uplink_retries", event.uplink_retries);
-          }
-          if (oc.missed_deadline) {
-            ++total_deadline_misses;
-            OBS_SPAN("round.fault.deadline_miss");
-            FEDVR_OBS_COUNT("fl.faults.deadline_misses", 1);
-          }
-          if (event.uplink_failed) {
-            OBS_SPAN("round.fault.uplink_failed");
-            FEDVR_OBS_COUNT("fl.faults.uplink_failed", 1);
-          }
-          if (oc.missed_deadline || oc.undelivered) {
-            // Computed and transmitted, never aggregated: undelivered, not
-            // "dropped" — dropped counts crashes only (CSV schema v2).
-            ++total_undelivered;
-          } else if (event.corrupted()) {
-            // Counted here — per delivered update — so the counter says
-            // how many corrupted updates the server actually had to
-            // survive, not how many corruption events fired into the void.
-            ++total_corrupted;
-            OBS_SPAN("round.fault.corrupt");
-            FEDVR_OBS_COUNT("fl.faults.corrupted_updates", 1);
-          }
-        }
-      }
-
-      const std::span<const std::size_t> survivors = schedule.survivors();
-
-      // Slot-keyed round state (inner capacities survive the resize), plus
-      // serial registration of everything the parallel solve pass may only
-      // read: channel residual slots and replay-cache entries.
-      locals.resize(participants.size());
-      thetas.assign(participants.size(), -1.0);
-      grad_evals.assign(participants.size(), 0);
-      if (channel_transforms) {
-        realized_uplink.assign(participants.size(), 0);
-        if (options_.comm.error_feedback) {
-          uplinkers.clear();
-          for (const std::size_t k : survivors) {
-            uplinkers.push_back(participants[k]);
-          }
-          channel.prepare(uplinkers);
-        }
-      }
-      if (stale_replay_possible) {
-        // Pre-create this round's replay-cache entries: the parallel pass
-        // writes only each device's own pre-existing vector and never
-        // mutates the map structure.
-        for (const std::size_t k : survivors) {
-          if (events[k].corruption != CorruptionKind::kStaleReplay) {
-            replay_cache.try_emplace(participants[k]);
-          }
-        }
-      }
-
-      // Local updates (Algorithm 1 lines 2-11), device-parallel. Only the
-      // round's survivors run: a crashed device computes nothing, and a
-      // device whose update cannot reach the server in time (uplink
-      // exhaustion, deadline miss) is not simulated — its wasted compute
-      // shows up in the fault counters, not in sample_grad_evals.
-      auto run_device = [&](std::size_t i) {
-        const std::size_t k = survivors[i];
-        const std::size_t device = participants[k];
-        const FaultEvent& event = events[k];
-        std::vector<double>& local = locals[k];
-        if (event.corruption == CorruptionKind::kStaleReplay) {
-          // The device free-rides: it re-sends whatever it uploaded last
-          // (or echoes the broadcast model verbatim if it never uploaded)
-          // without running the solver, so it contributes no fresh work.
-          // The θ/grad-eval slots already hold their -1/0 defaults.
-          const auto it = replay_cache.find(device);
-          if (it != replay_cache.end() && !it->second.empty()) {
-            local.assign(it->second.begin(), it->second.end());
-          } else {
-            local.assign(w_global.begin(), w_global.end());
-          }
-          return;
-        }
-        OBS_SPAN("device.solve");
-        const std::uint64_t solve_start = obs_on ? obs::now_ns() : 0;
-        util::Rng rng = util::fork(options_.seed, device + 1, s,
-                                   util::stream::kSampling);
-        const opt::WorkspacePool::Lease lease(ws_pool);
-        opt::SolverWorkspace& ws = *lease;
-        // On-demand shard materialization (data/federation.h): an in-memory
-        // federation returns its stored shard, a virtual one generates into
-        // this device-local scratch — either way the round only ever holds
-        // the shards of devices it actually runs.
-        data::Dataset shard_scratch;
-        const data::Dataset& shard = fed_->train(device, shard_scratch);
-        const auto result =
-            solver_for(device).solve(shard, w_global, rng, ws, local);
-        if (channel_transforms) {
-          // Uplink the update delta through the comm seam (error feedback,
-          // compression, wire encode/decode); the server reconstructs
-          // anchor + decoded delta. Compressor calls outside comm::Channel
-          // are a lint error (compression-in-seam).
-          std::vector<double>& delta = ws.delta;
-          delta.resize(dim);
-          tensor::sub(local, w_global, delta);
-          util::Rng comm_rng =
-              util::fork(options_.seed, device + 1, s, util::stream::kComm);
-          realized_uplink[k] = channel.uplink(device, delta, comm_rng);
-          tensor::copy(w_global, local);
-          tensor::axpy(1.0, delta, local);
-        }
-        // Corruption mangles the transmitted bytes, so it applies after
-        // compression. Deterministic per (seed, device, round): the kind
-        // was fixed in the pre-pass and the mangling reads only device-local
-        // state, so corrupted traces stay pool-size-independent.
-        switch (event.corruption) {
-          case CorruptionKind::kNanInject: {
-            // Sparse deterministic poison: coordinate (device + s) mod dim,
-            // then every 64th after it, alternating NaN and +Inf.
-            bool use_nan = true;
-            for (std::size_t j = (device + s) % dim; j < dim; j += 64) {
-              local[j] = use_nan ? std::numeric_limits<double>::quiet_NaN()
-                                 : std::numeric_limits<double>::infinity();
-              use_nan = !use_nan;
-            }
-            break;
-          }
-          case CorruptionKind::kSignFlip:
-            // w̄ - δ, i.e. 2·w̄ - w_n: the update pushes the wrong way.
-            tensor::scal(-1.0, local);
-            tensor::axpy(2.0, w_global, local);
-            break;
-          case CorruptionKind::kScale: {
-            // w̄ + f·δ, i.e. f·w_n + (1-f)·w̄: a magnitude explosion (or
-            // collapse) along the honest direction.
-            const double f = options_.faults.config().corrupt_scale_factor;
-            tensor::scal(f, local);
-            tensor::axpy(1.0 - f, w_global, local);
-            break;
-          }
-          case CorruptionKind::kNone:
-          case CorruptionKind::kStaleReplay:
-            break;  // replay already returned above
-        }
-        if (stale_replay_possible) {
-          // Remember what this device just sent (post-corruption bytes) so
-          // a later kStaleReplay round re-sends exactly that. The entry was
-          // created serially above; only this device's vector is written.
-          replay_cache.find(device)->second.assign(local.begin(), local.end());
-        }
-        thetas[k] = result.measured_theta;
-        grad_evals[k] = result.sample_gradient_evals;
-        if (obs_on) {
-          profiler.record_device(
-              device,
-              static_cast<double>(obs::now_ns() - solve_start) / 1e9,
-              result.iterations_run);
-        }
-      };
-      {
-        obs::RoundProfiler::ScopedPhase phase(profiler,
-                                              obs::Phase::kLocalSolve);
-        OBS_SPAN("round.local_solve");
-        if (options_.parallel && util::ThreadPool::global().size() > 1) {
-          util::ThreadPool::global().parallel_for(0, survivors.size(),
-                                                  run_device);
-        } else {
-          for (std::size_t i = 0; i < survivors.size(); ++i) run_device(i);
-        }
-      }
-
-      {
-        obs::RoundProfiler::ScopedPhase phase(profiler,
-                                              obs::Phase::kAggregate);
-        OBS_SPAN("round.aggregate");
-        // Server-side defense, then global aggregation (line 12) through
-        // the pluggable seam (fl/aggregation.h). Validation is ALWAYS-ON —
-        // plain function calls, not FEDVR_CHECKS-gated macros — because a
-        // production server must reject a poisoned update, not assert on
-        // it: one NaN in the weighted average corrupts every later round.
-        tensor::copy(w_global, w_prev);
-        accepted.clear();
-        for (std::size_t k : survivors) {
-          const std::size_t device = participants[k];
-          FEDVR_CHECK_SHAPE(locals[k].size(), dim);
-          bool ok = !options_.defense.reject_non_finite ||
-                    check::all_finite(locals[k]);
-          if (ok && options_.defense.update_norm_bound > 0.0) {
-            const double bound = options_.defense.update_norm_bound;
-            // NaN distances compare false, so a non-finite update that
-            // slipped past a disabled finiteness check still fails here.
-            ok = tensor::squared_distance(locals[k], w_prev) <= bound * bound;
-          }
-          if (ok) {
-            accepted.push_back(k);
-            continue;
-          }
-          ++total_rejected;
-          OBS_SPAN("round.defense.reject");
-          FEDVR_OBS_COUNT("fl.defense.rejected_updates", 1);
-          if (options_.defense.quarantine_enabled() &&
-              ++strikes[device] >= options_.defense.quarantine_strikes) {
-            // Quarantine starts next round; the strike counter resets so a
-            // repeat offender re-earns its next quarantine from zero.
-            quarantined_until[device] = s + options_.defense.quarantine_rounds;
-            strikes[device] = 0;
-            FEDVR_OBS_COUNT("fl.defense.quarantines", 1);
-          }
-        }
-        // Aggregate the accepted updates, ascending device order. A round
-        // with nothing accepted keeps w̄^(s-1) unchanged.
-        if (!accepted.empty()) {
-          update_views.clear();
-          update_weights.clear();
-          for (std::size_t k : accepted) {
-            update_views.emplace_back(locals[k]);
-            update_weights.push_back(fed_->weight(participants[k]));
-          }
-          aggregator->aggregate(w_prev, update_views, update_weights,
-                                w_global);
-          // Belt and braces on top of the defense layer: with
-          // reject_non_finite force-disabled and a non-robust aggregator,
-          // fail at the round that aggregated the poison.
-          FEDVR_CHECK_FINITE(w_global, "aggregated global model");
-        }
-
-        // The round costs model time until the server's event queue drains:
-        // the last non-crashed arrival, capped at the deadline.
-        model_time += realized_round_time;
-
-        // Wire accounting from serialized message sizes: one dense model
-        // broadcast down per scheduled participant, plus one (possibly
-        // compressed) update message up per transmission in the arrival
-        // queue — lost attempts and late arrivals still crossed the wire.
-        // Devices that uplinked through the channel are charged their
-        // realized message size; transmissions whose payload was never
-        // materialized (lost attempts, crashed-out retries, stale replays)
-        // are charged the a-priori size. Integer sums, so the queue order
-        // cannot perturb the totals.
-        const std::size_t up_bytes_apriori = channel.uplink_wire_bytes();
-        total_downlink_bytes +=
-            participants.size() * channel.downlink_wire_bytes();
-        for (const ArrivalEvent& ev : schedule.arrivals()) {
-          const std::size_t realized =
-              channel_transforms ? realized_uplink[ev.slot] : 0;
-          total_uplink_bytes += events[ev.slot].uplink_attempts() *
-                                (realized > 0 ? realized : up_bytes_apriori);
-        }
-        for (std::size_t k : survivors) {
-          total_grad_evals += grad_evals[k];
-        }
-      }
-
-      if (s % options_.eval_every == 0 ||
-          (s == options_.rounds && options_.eval_final)) {
-        RoundMetrics m;
-        m.round = s;
+        OBS_SPAN("round");
         {
-          obs::RoundProfiler::ScopedPhase phase(profiler, obs::Phase::kEval);
-          OBS_SPAN("round.eval");
-          m.train_loss = global_loss(w_global);
-          m.test_accuracy = test_accuracy(w_global);
-          if (options_.eval_grad_norm) {
-            m.grad_norm_sq = global_grad_norm_sq(w_global);
-          }
+          obs::RoundProfiler::ScopedPhase phase(profiler_,
+                                                obs::Phase::kBroadcast);
+          OBS_SPAN("round.broadcast");
+          select(s);
+          schedule(s);
         }
-        m.model_time = model_time;
-        m.wall_seconds = wall.seconds();
-        m.uplink_bytes = total_uplink_bytes;
-        m.downlink_bytes = total_downlink_bytes;
-        m.comm_bytes = total_uplink_bytes + total_downlink_bytes;
-        m.sample_grad_evals = total_grad_evals;
-        m.dropped_devices = total_dropped;
-        m.undelivered_updates = total_undelivered;
-        m.straggler_devices = total_stragglers;
-        m.uplink_retries = total_uplink_retries;
-        m.deadline_misses = total_deadline_misses;
-        m.corrupted_updates = total_corrupted;
-        m.rejected_updates = total_rejected;
-        m.quarantined_device_rounds = total_quarantined;
-        m.realized_round_time = realized_round_time;
-        // Determinism audit: two runs with the same seed must produce
-        // bit-identical parameters, hence equal hashes, at every eval round.
-        m.param_hash = check::hash_span(w_global);
-        if (obs_on) {
-          const obs::PhaseTotals& totals = profiler.totals();
-          m.measured =
-              PhaseTimings{.broadcast = totals.phase(obs::Phase::kBroadcast),
-                           .local_solve =
-                               totals.phase(obs::Phase::kLocalSolve),
-                           .aggregate = totals.phase(obs::Phase::kAggregate),
-                           .eval = totals.phase(obs::Phase::kEval)};
+        const RoundState round{.round = s,
+                               .communicate = communicate_,
+                               .participants = participants_,
+                               .events = events_,
+                               .schedule = schedule_,
+                               .channel = channel_};
+        {
+          obs::RoundProfiler::ScopedPhase phase(profiler_,
+                                                obs::Phase::kLocalSolve);
+          OBS_SPAN("round.local_solve");
+          solve(round);
         }
-        if (options_.collect_theta) {
-          double sum = 0.0;
-          std::size_t count = 0;
-          for (std::size_t k : survivors) {
-            if (thetas[k] >= 0.0) {
-              // Predicate-filtered diagnostic mean, ascending survivor
-              // order; trace-only, never fed back into the model.
-              // lint:allow(fp-reduction-in-seam) trace-only diagnostic mean
-              sum += thetas[k];
-              ++count;
-            }
-          }
-          m.mean_local_theta =
-              count > 0 ? sum / static_cast<double>(count) : -1.0;
+        {
+          obs::RoundProfiler::ScopedPhase phase(profiler_,
+                                                obs::Phase::kAggregate);
+          OBS_SPAN("round.aggregate");
+          account(combine(round));
         }
-        trace.rounds.push_back(m);
-        FEDVR_LOG_DEBUG << name << " round " << s << " loss " << m.train_loss
-                        << " acc " << m.test_accuracy;
-        if (options_.target_accuracy &&
-            m.test_accuracy >= *options_.target_accuracy) {
-          target_reached = true;
+        if (s % options_.eval_every == 0 ||
+            (s == options_.rounds && options_.eval_final)) {
+          record(s);
         }
       }
+      profiler_.end_round();
     }
-    profiler.end_round();
+    const std::span<const double> w = policy_.model();
+    trace.final_parameters.assign(w.begin(), w.end());
+    trace.final_param_hash = check::hash_span(trace.final_parameters);
+    if (obs_on_) {
+      const obs::TimingEstimate est = profiler_.estimate();
+      if (est.valid()) {
+        trace.measured_timing = MeasuredTiming{est.d_com, est.d_cmp};
+      }
+      const ObservabilityOptions& o = options_.observability;
+      if (!o.chrome_trace_path.empty()) {
+        obs::write_chrome_trace_file(o.chrome_trace_path);
+      }
+      if (!o.metrics_jsonl_path.empty()) {
+        std::ofstream out(o.metrics_jsonl_path);
+        FEDVR_CHECK_MSG(out.good(), "cannot open '" << o.metrics_jsonl_path
+                                                    << "' for writing");
+        obs::Registry::global().snapshot().write_jsonl(out);
+        obs::write_span_summary_jsonl(out);
+      }
+    }
+    return trace;
   }
-  trace.final_parameters = std::move(w_global);
-  trace.final_param_hash = check::hash_span(trace.final_parameters);
 
-  if (obs_on) {
-    const obs::TimingEstimate est = profiler.estimate();
-    if (est.valid()) {
-      trace.measured_timing = MeasuredTiming{est.d_com, est.d_cmp};
+ private:
+  // Stage 1: this round's participants, ascending — all N, or m drawn by
+  // Floyd's sampler in O(m). The policy then drops devices the server will
+  // not schedule (after the draw: the kSelection stream never moves) and
+  // flips its communication coin.
+  void select(std::size_t s) {
+    const std::size_t num_devices = fed_.num_devices();
+    if (options_.devices_per_round &&
+        *options_.devices_per_round < num_devices) {
+      util::Rng select_rng =
+          util::fork(options_.seed, 0, s, util::stream::kSelection);
+      select_rng.sample_subset_sorted(
+          num_devices, *options_.devices_per_round, participants_);
+    } else {
+      participants_.resize(num_devices);
+      std::iota(participants_.begin(), participants_.end(), 0);
     }
-    if (!options_.observability.chrome_trace_path.empty()) {
-      obs::write_chrome_trace_file(options_.observability.chrome_trace_path);
+    const std::size_t selected = participants_.size();
+    communicate_ = policy_.open_round(s, participants_);
+    ledger_.quarantined_device_rounds += selected - participants_.size();
+  }
+
+  // Stage 2: the round as a discrete-event schedule. Pass 1 fills it from
+  // fault events, pure in (seed, device, round), and model-time completion
+  // stamps (d_com·mult + d_cmp·τ·slowdown; the d_cmp term alone on a silent
+  // round), so survivors and round time are known before any solver runs.
+  void schedule(std::size_t s) {
+    const bool faults_on = options_.faults.enabled();
+    const double backoff = options_.faults.config().retry_backoff;
+    const std::size_t tau = policy_.local_steps();
+    const std::size_t n = participants_.size();
+    events_.assign(n, FaultEvent{});
+    std::vector<ParticipantOutcome>& outcomes = schedule_.reset(n);
+    for (std::size_t k = 0; k < n; ++k) {
+      const std::size_t device = participants_[k];
+      if (faults_on) {
+        events_[k] = options_.faults.sample(options_.seed, device, s);
+      }
+      const FaultEvent& event = events_[k];
+      ParticipantOutcome& oc = outcomes[k];
+      oc.device = device;
+      if (event.dropped) {
+        oc.crashed = true;
+        continue;
+      }
+      TimingModel timing = options_.per_device_timing.empty()
+                               ? options_.timing
+                               : options_.per_device_timing[device];
+      if (!communicate_) {
+        oc.completion_time =
+            timing.d_cmp * event.slowdown * static_cast<double>(tau);
+        continue;
+      }
+      if (options_.comm.byte_timing) {
+        // d_com from serialized bytes, calibrated so a dense float64
+        // exchange still costs exactly the analytic d_com.
+        timing.d_com = channel_.link_round_time(timing);
+      }
+      oc.completion_time = timing.round_time(tau, event.slowdown,
+                                             event.com_multiplier(backoff));
+      oc.undelivered = event.uplink_failed;
     }
-    if (!options_.observability.metrics_jsonl_path.empty()) {
-      std::ofstream out(options_.observability.metrics_jsonl_path);
-      FEDVR_CHECK_MSG(out.good(),
-                      "cannot open '"
-                          << options_.observability.metrics_jsonl_path
-                          << "' for writing");
-      obs::Registry::global().snapshot().write_jsonl(out);
-      obs::write_span_summary_jsonl(out);
+    schedule_.build(options_.round_deadline);
+
+    // Pass 2: fault accounting + obs spans, ascending slot order. Retries
+    // and undelivered updates exist only on rounds that communicate.
+    live_.clear();
+    for (std::size_t k = 0; k < n; ++k) {
+      const FaultEvent& event = events_[k];
+      const ParticipantOutcome& oc = schedule_.outcome(k);
+      if (oc.crashed) {  // detected at once: holds up nothing
+        ++ledger_.dropped_devices;
+        OBS_SPAN("round.fault.dropout");
+        FEDVR_OBS_COUNT("fl.faults.dropout", 1);
+        continue;
+      }
+      live_.push_back(k);
+      if (event.straggler) {
+        ++ledger_.straggler_devices;
+        OBS_SPAN("round.fault.straggler");
+        FEDVR_OBS_COUNT("fl.faults.straggler", 1);
+      }
+      if (communicate_ && event.uplink_retries > 0) {
+        ledger_.uplink_retries += event.uplink_retries;
+        OBS_SPAN("round.fault.uplink_retry");
+        FEDVR_OBS_COUNT("fl.faults.uplink_retries", event.uplink_retries);
+      }
+      if (oc.missed_deadline) {
+        ++ledger_.deadline_misses;
+        OBS_SPAN("round.fault.deadline_miss");
+        FEDVR_OBS_COUNT("fl.faults.deadline_misses", 1);
+      }
+      if (oc.undelivered) {
+        OBS_SPAN("round.fault.uplink_failed");
+        FEDVR_OBS_COUNT("fl.faults.uplink_failed", 1);
+      }
+      if (oc.missed_deadline || oc.undelivered) {
+        // Computed and transmitted, never aggregated: undelivered, not
+        // "dropped" — dropped counts crashes only (CSV schema v2).
+        ++ledger_.undelivered_updates;
+      } else if (event.corrupted()) {
+        // Counted per delivered update: how many corrupted updates the
+        // server actually had to survive.
+        ++ledger_.corrupted_updates;
+        OBS_SPAN("round.fault.corrupt");
+        FEDVR_OBS_COUNT("fl.faults.corrupted_updates", 1);
+      }
     }
   }
-  return trace;
+
+  // Stage 3: the policy's local work, device-parallel (Algorithm 1 lines
+  // 2-11). Channel state the parallel pass may only read — error-feedback
+  // residual slots of this round's uplinkers — is registered serially
+  // first.
+  void solve(const RoundState& round) {
+    work_.assign(participants_.size(), SlotWork{});
+    if (communicate_ && options_.comm.error_feedback) {
+      uplinkers_.clear();
+      for (const std::size_t k : schedule_.survivors()) {
+        uplinkers_.push_back(participants_[k]);
+      }
+      channel_.prepare(uplinkers_);
+    }
+    auto run_slot = [&](std::size_t i) {
+      const std::size_t k = live_[i];
+      OBS_SPAN("device.solve");
+      const std::uint64_t start = obs_on_ ? obs::now_ns() : 0;
+      // Pooled solver workspaces: allocation-free once the pool is warm.
+      const opt::WorkspacePool::Lease lease(ws_pool_);
+      work_[k] = policy_.solve(round, k, *lease);
+      if (obs_on_ && work_[k].inner_iterations > 0) {
+        profiler_.record_device(
+            k, static_cast<double>(obs::now_ns() - start) / 1e9,
+            work_[k].inner_iterations);
+      }
+    };
+    if (options_.parallel && util::ThreadPool::global().size() > 1) {
+      util::ThreadPool::global().parallel_for(0, live_.size(), run_slot);
+    } else {
+      for (std::size_t i = 0; i < live_.size(); ++i) run_slot(i);
+    }
+  }
+
+  // Stage 4: the policy's server step.
+  CombineResult combine(const RoundState& round) {
+    const CombineResult result = policy_.combine(round);
+    ledger_.rejected_updates += result.rejected_updates;
+    ledger_.sample_grad_evals += result.sample_grad_evals;
+    return result;
+  }
+
+  // Stage 5: the round's cost. Model time runs until the server's event
+  // queue drains (the last non-crashed arrival, capped at the deadline).
+  // Bytes are serialized message sizes: a dense broadcast per scheduled
+  // participant, and an uplink per transmission in the arrival queue (lost
+  // attempts and late arrivals crossed the wire too; payloads never
+  // materialized are charged the a-priori size). Integer sums.
+  void account(const CombineResult& combined) {
+    ledger_.model_time += schedule_.realized_round_time();
+    if (combined.broadcast) {
+      ledger_.downlink_bytes +=
+          participants_.size() * channel_.downlink_wire_bytes();
+    }
+    if (communicate_) {
+      const std::size_t apriori = channel_.uplink_wire_bytes();
+      for (const ArrivalEvent& ev : schedule_.arrivals()) {
+        const std::size_t realized = work_[ev.slot].uplink_bytes;
+        ledger_.uplink_bytes += events_[ev.slot].uplink_attempts() *
+                                (realized > 0 ? realized : apriori);
+      }
+    }
+    for (const std::size_t k : live_) {
+      ledger_.sample_grad_evals += work_[k].sample_grad_evals;
+    }
+  }
+
+  // Stage 6: metrics at the policy's model, plus the cumulative ledgers.
+  RoundMetrics evaluate(std::size_t s) {
+    RoundMetrics m = ledger_;
+    m.round = s;
+    {
+      obs::RoundProfiler::ScopedPhase phase(profiler_, obs::Phase::kEval);
+      OBS_SPAN("round.eval");
+      const std::span<const double> w = policy_.model();
+      m.train_loss = trainer_.global_loss(w);
+      m.test_accuracy = trainer_.test_accuracy(w);
+      if (options_.eval_grad_norm) {
+        m.grad_norm_sq = trainer_.global_grad_norm_sq(w);
+      }
+      // Determinism audit: equal seeds must give equal hashes every row.
+      m.param_hash = check::hash_span(w);
+    }
+    m.wall_seconds = wall_.seconds();
+    m.comm_bytes = m.uplink_bytes + m.downlink_bytes;
+    m.realized_round_time = schedule_.realized_round_time();
+    if (obs_on_) {
+      const obs::PhaseTotals& totals = profiler_.totals();
+      m.measured =
+          PhaseTimings{.broadcast = totals.phase(obs::Phase::kBroadcast),
+                       .local_solve = totals.phase(obs::Phase::kLocalSolve),
+                       .aggregate = totals.phase(obs::Phase::kAggregate),
+                       .eval = totals.phase(obs::Phase::kEval)};
+    }
+    if (options_.collect_theta) {
+      double sum = 0.0;
+      std::size_t count = 0;
+      for (const std::size_t k : schedule_.survivors()) {
+        if (work_[k].theta >= 0.0) {
+          // Predicate-filtered diagnostic mean, ascending survivor order;
+          // trace-only, never fed back into the model.
+          // lint:allow(fp-reduction-in-seam) trace-only diagnostic mean
+          sum += work_[k].theta;
+          ++count;
+        }
+      }
+      m.mean_local_theta = count > 0 ? sum / static_cast<double>(count) : -1.0;
+    }
+    return m;
+  }
+
+  const Trainer& trainer_;
+  const TrainerOptions& options_;
+  const data::Federation& fed_;
+  RoundPolicy& policy_;
+  const RunContext run_;
+  const bool obs_on_;
+  // The device<->server link (src/comm): error-feedback residuals keyed by
+  // device, bytes measured from serialized comm::Message sizes.
+  comm::Channel channel_;
+  obs::RoundProfiler profiler_;
+  const bool obs_was_on_;
+  opt::WorkspacePool ws_pool_;
+  util::Stopwatch wall_;
+  // The cumulative ledgers (model time, bytes, gradient evaluations, fault
+  // and defense counters) in trace schema; evaluate() copies them out.
+  RoundMetrics ledger_;
+
+  bool communicate_ = true;
+  std::vector<std::size_t> participants_;  // slot -> device, ascending
+  std::vector<FaultEvent> events_;         // slot-keyed
+  RoundSchedule schedule_;
+  std::vector<std::size_t> live_;          // non-crashed slots, ascending
+  std::vector<SlotWork> work_;             // slot-keyed
+  std::vector<std::size_t> uplinkers_;     // devices passed to prepare()
+};
+
+}  // namespace
+
+TrainingTrace Trainer::run(RoundPolicy& policy, const std::string& name,
+                           std::optional<std::vector<double>> w0) const {
+  const std::size_t dim = model_->num_parameters();
+  std::vector<double> w;
+  if (w0.has_value()) {
+    FEDVR_CHECK_MSG(w0->size() == dim, "w0 has " << w0->size()
+                                                 << " parameters, model needs "
+                                                 << dim);
+    w = std::move(*w0);
+  } else {
+    util::Rng init_rng = util::fork(options_.seed, 0, 0, util::stream::kInit);
+    w = model_->initial_parameters(init_rng);
+  }
+  RoundEngine engine(*this, *model_, *fed_, policy);
+  return engine.run(name, w);
 }
 
 }  // namespace fedvr::fl

@@ -1,30 +1,15 @@
 // The synchronous federated engine: Algorithm 1's outer loop, run as a
-// discrete-event simulation over the round's participants.
+// discrete-event simulation over each round's participants, in six stages
+// (trainer.cpp): select → schedule → solve → combine → account → evaluate.
+// What differs between algorithms lives behind fl::RoundPolicy
+// (fl/round_policy.h): τ LocalSolver steps + line-12 aggregation for the
+// FedProxVR family, one SVRG step per coin-flip iteration for ProxSkip-VR.
 //
-// Each global round s:
-//   1. sample/select this round's participants (all N, or m of them drawn
-//      by Floyd's algorithm in O(m)) and broadcast w̄^(s-1) to them,
-//   2. build the round's event schedule (fl/event_engine.h): per-
-//      participant fault events and (d_com + d_cmp·τ) completion
-//      timestamps, deadline misses, the survivor set, and the realized
-//      round time — all before any solver runs,
-//   3. run the device-local solver on every surviving participant — in
-//      parallel on a thread pool ("for n in N do in parallel"), device
-//      shards materialized on demand through data::Federation,
-//   4. aggregate w̄^(s) = sum_n (D_n/D) w_n^(s)   (line 12) through the
-//      pluggable fl::Aggregator seam (flat mean, robust rules, or the
-//      hierarchical tree of fl/hierarchy.h),
-//   5. evaluate metrics and append to the trace.
-//
-// Every per-participant buffer (local models, θ diagnostics, error-feedback
-// residuals, uplink accounting) is keyed by round slot or device, never
-// sized by the fleet: a round over m sampled participants costs O(m·dim)
-// memory at any fleet size.
-//
-// Determinism: the per-device, per-round RNG is forked from the master seed
-// by (device, round) coordinates, and every cross-device reduction runs in
-// a fixed (ascending-device) order, so traces are bit-identical however
-// devices are scheduled onto threads.
+// Every per-participant buffer is keyed by round slot or device, never
+// sized by the fleet: a round over m participants costs O(m·dim) memory.
+// Determinism: per-device randomness is forked from the seed by (device,
+// round), and every cross-device reduction runs in ascending device order,
+// so traces are bit-identical however devices map onto threads.
 #pragma once
 
 #include <functional>
@@ -36,9 +21,9 @@
 #include "data/dataset.h"
 #include "data/federation.h"
 #include "fl/aggregation.h"
-#include "fl/compression.h"
 #include "fl/faults.h"
 #include "fl/metrics.h"
+#include "fl/round_policy.h"
 #include "fl/timing_model.h"
 #include "nn/model.h"
 #include "opt/local_solver.h"
@@ -85,11 +70,6 @@ struct TrainerOptions {
   /// channel is pure accounting and the arithmetic is bit-identical to the
   /// pre-comm engine.
   comm::ChannelOptions comm;
-  /// DEPRECATED: pre-comm-seam compressor knob. When set (and comm has no
-  /// compressor of its own) it is adopted as comm.compressor at
-  /// construction; setting both is a configuration error. Prefer
-  /// options.comm.compressor in new code.
-  std::shared_ptr<const comm::Compressor> uplink_compressor;
   /// Optional per-device timing models (heterogeneous hardware): when
   /// non-empty (one per device), a synchronous round costs the *maximum*
   /// participant time instead of options.timing.
@@ -149,6 +129,11 @@ class Trainer {
       std::span<const opt::LocalSolver> solvers, const std::string& name,
       std::optional<std::vector<double>> w0 = std::nullopt) const;
 
+  /// Runs `policy` on the round engine (both overloads above do too).
+  [[nodiscard]] TrainingTrace run(
+      RoundPolicy& policy, const std::string& name,
+      std::optional<std::vector<double>> w0 = std::nullopt) const;
+
   /// The global objective F̄(w) = sum_n (D_n/D) F_n(w) (eq. 2).
   [[nodiscard]] double global_loss(std::span<const double> w) const;
 
@@ -161,11 +146,6 @@ class Trainer {
   [[nodiscard]] const TrainerOptions& options() const { return options_; }
 
  private:
-  TrainingTrace run_impl(
-      const std::function<const opt::LocalSolver&(std::size_t)>& solver_for,
-      std::size_t timing_tau, const std::string& name,
-      std::optional<std::vector<double>> w0) const;
-
   std::shared_ptr<const nn::Model> model_;
   std::shared_ptr<const data::Federation> fed_;
   TrainerOptions options_;

@@ -1,5 +1,6 @@
 #include "obs/profiler.h"
 
+#include "obs/registry.h"
 #include "util/error.h"
 
 namespace fedvr::obs {
@@ -14,12 +15,13 @@ const char* phase_name(Phase phase) {
   return "?";
 }
 
-void RoundProfiler::begin_round(std::size_t round, std::size_t num_devices) {
+void RoundProfiler::begin_round(std::size_t round, std::size_t num_slots) {
   if (!collect_) return;
   if (round_open_) end_round();
   current_ = RoundProfile{};
   current_.round = round;
-  current_.devices.assign(num_devices, DeviceSample{});
+  current_.devices.assign(num_slots, DeviceSample{});
+  FEDVR_OBS_COUNT("obs.profiler.device_samples", num_slots);
   round_open_ = true;
 }
 
@@ -30,13 +32,13 @@ void RoundProfiler::end_round() {
   round_open_ = false;
 }
 
-void RoundProfiler::record_device(std::size_t device, double solve_seconds,
+void RoundProfiler::record_device(std::size_t slot, double solve_seconds,
                                   std::size_t inner_iterations) {
   if (!collect_) return;
   FEDVR_CHECK_MSG(round_open_, "record_device outside begin/end_round");
-  FEDVR_CHECK_MSG(device < current_.devices.size(),
-                  "device " << device << " out of range");
-  current_.devices[device] = {solve_seconds, inner_iterations};
+  FEDVR_CHECK_MSG(slot < current_.devices.size(),
+                  "slot " << slot << " out of range");
+  current_.devices[slot] = {solve_seconds, inner_iterations};
 }
 
 void RoundProfiler::add_phase_seconds(Phase phase, double seconds) {

@@ -3,8 +3,10 @@
 //
 // The trainer owns one RoundProfiler per run. Each round it brackets the
 // four phases (broadcast, local solve, aggregate, eval) with ScopedPhase
-// and reports every participating device's solve time. From those samples
-// the profiler estimates the paper's §4.3 timing-model parameters:
+// and reports every participant's solve time by round SLOT, so a round's
+// samples are O(m) — sized by the scheduled count, never by the fleet.
+// From those samples the profiler estimates the paper's §4.3 timing-model
+// parameters:
 //   d_com ≈ mean per-round non-compute time (broadcast + aggregate),
 //   d_cmp ≈ mean device solve seconds per inner iteration,
 // so a measured round_time(tau) = d_com + d_cmp*tau can be compared against
@@ -33,7 +35,7 @@ inline constexpr std::size_t kNumPhases = 4;
 [[nodiscard]] const char* phase_name(Phase phase);
 
 struct DeviceSample {
-  double solve_seconds = -1.0;  // < 0: device did not participate this round
+  double solve_seconds = -1.0;  // < 0: the slot ran no solver this round
   std::size_t inner_iterations = 0;
 };
 
@@ -41,7 +43,7 @@ struct RoundProfile {
   std::size_t round = 0;
   /// Seconds spent in each phase during this round only (index by Phase).
   std::array<double, kNumPhases> phase_seconds{};
-  std::vector<DeviceSample> devices;
+  std::vector<DeviceSample> devices;  // slot-keyed
 
   [[nodiscard]] double phase(Phase p) const {
     return phase_seconds[static_cast<std::size_t>(p)];
@@ -84,15 +86,16 @@ class RoundProfiler {
 
   [[nodiscard]] bool collecting() const { return collect_; }
 
-  /// Starts round `round` with `num_devices` device slots. Ends any round
-  /// still open.
-  void begin_round(std::size_t round, std::size_t num_devices);
+  /// Starts round `round` with `num_slots` participant slots (the round's
+  /// scheduled count, m or N). Ends any round still open. Counts the slots
+  /// into obs.profiler.device_samples — the samples the profiler retains.
+  void begin_round(std::size_t round, std::size_t num_slots);
   void end_round();
 
-  /// Reports one device's local-solve wall time. Thread-safe as long as
-  /// each device index is reported by one thread per round (the trainer's
+  /// Reports one participant slot's local-solve wall time. Thread-safe as
+  /// long as each slot is reported by one thread per round (the trainer's
   /// parallel_for guarantees that).
-  void record_device(std::size_t device, double solve_seconds,
+  void record_device(std::size_t slot, double solve_seconds,
                      std::size_t inner_iterations);
 
   /// Adds to the current round's phase time; ScopedPhase is the usual way.

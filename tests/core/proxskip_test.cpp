@@ -5,10 +5,15 @@
 
 #include <gtest/gtest.h>
 
+#include <map>
 #include <memory>
+#include <string>
 #include <vector>
 
 #include "comm/message.h"
+#include "data/federation.h"
+#include "obs/obs.h"
+#include "obs/trace.h"
 #include "tensor/vecops.h"
 #include "testing/quadratic_model.h"
 #include "util/error.h"
@@ -195,6 +200,95 @@ TEST(ProxSkipVR, TargetAccuracyCanStopAtRoundZero) {
   for (std::size_t j = 0; j < w0.size(); ++j) {
     EXPECT_NEAR(trace.final_parameters[j], w0[j], 1e-15);
   }
+}
+
+// ProxSkip-VR runs on the shared round engine, so it inherits the engine's
+// observability: profiled runs are hash-equal to plain ones, emit the
+// round.* phase spans and measured timings, and every row reports real
+// wall-clock time.
+TEST(ProxSkipVR, ObservabilityIsHashNeutralAndEmitsRoundSpans) {
+  const bool prev = obs::set_enabled(false);
+  obs::clear_spans();
+  auto model = std::make_shared<QuadraticModel>(kDim);
+  const auto fed = make_fed(4);
+  ProxSkipVROptions opts;
+  opts.iterations = 30;
+  opts.step_size = 0.2;
+  opts.skip_prob = 0.3;
+  opts.eval_every = 5;
+  opts.comm.compressor = std::make_shared<comm::TopKCompressor>(0.5);
+  opts.comm.error_feedback = true;
+  fl::FaultModelConfig cfg;
+  cfg.dropout_prob = 0.1;
+  cfg.uplink_loss_prob = 0.2;
+  opts.faults = fl::FaultModel(cfg);
+
+  const auto plain = run_proxskip_vr(model, fed, opts, "plain");
+  fl::TrainerOptions profiled = trainer_options(opts);
+  profiled.observability.enabled = true;
+  const auto policy = make_proxskip_vr_policy(opts);
+  const auto traced = fl::Trainer(model, fed, profiled).run(*policy, "obs");
+  const auto spans = obs::collect_spans();
+  obs::clear_spans();
+  obs::set_enabled(prev);
+
+  ASSERT_EQ(plain.rounds.size(), traced.rounds.size());
+  for (std::size_t i = 0; i < plain.rounds.size(); ++i) {
+    EXPECT_EQ(plain.rounds[i].param_hash, traced.rounds[i].param_hash) << i;
+    EXPECT_EQ(plain.rounds[i].uplink_bytes, traced.rounds[i].uplink_bytes);
+    EXPECT_GT(plain.rounds[i].wall_seconds, 0.0) << i;
+    EXPECT_FALSE(plain.rounds[i].measured.has_value());
+    EXPECT_TRUE(traced.rounds[i].measured.has_value());
+  }
+  EXPECT_EQ(plain.final_param_hash, traced.final_param_hash);
+  EXPECT_TRUE(traced.measured_timing.has_value());
+
+  std::map<std::string, std::size_t> count;
+  for (const auto& span : spans) ++count[span.name];
+  EXPECT_EQ(count["round"], opts.iterations);
+  for (const char* name : {"round.broadcast", "round.local_solve",
+                           "round.aggregate", "round.eval", "device.solve"}) {
+    EXPECT_GT(count[name], 0u) << name;
+  }
+}
+
+// The engine's data::Federation seam reaches ProxSkip-VR: a virtual fleet
+// generating the same shards on demand trains bit-identically.
+TEST(ProxSkipVR, VirtualFederationMatchesInMemory) {
+  auto model = std::make_shared<QuadraticModel>(kDim);
+  const auto fed = make_fed(5);
+  auto fleet = std::make_shared<data::VirtualFederation>(
+      fed.num_devices(),
+      [&fed](std::size_t n) { return fed.train[n].size(); },
+      [&fed](std::size_t n, std::size_t, data::Dataset& out) {
+        out = fed.train[n];
+      },
+      fed.pooled_test());
+  ProxSkipVROptions opts;
+  opts.iterations = 25;
+  opts.skip_prob = 0.4;
+  opts.eval_every = 5;
+  const auto in_memory = run_proxskip_vr(model, fed, opts);
+  const auto policy = make_proxskip_vr_policy(opts);
+  const auto virt =
+      fl::Trainer(model, fleet, trainer_options(opts)).run(*policy, "v");
+  ASSERT_EQ(in_memory.rounds.size(), virt.rounds.size());
+  for (std::size_t i = 0; i < virt.rounds.size(); ++i) {
+    EXPECT_EQ(in_memory.rounds[i].param_hash, virt.rounds[i].param_hash) << i;
+  }
+  EXPECT_EQ(in_memory.final_param_hash, virt.final_param_hash);
+  EXPECT_GT(fleet->materializations(), 0u);
+}
+
+TEST(ProxSkipVR, RejectsSampledParticipation) {
+  auto model = std::make_shared<QuadraticModel>(kDim);
+  const auto fed = make_fed(4);
+  const ProxSkipVROptions opts;
+  fl::TrainerOptions sampled = trainer_options(opts);
+  sampled.devices_per_round = 2;
+  const auto policy = make_proxskip_vr_policy(opts);
+  EXPECT_THROW((void)fl::Trainer(model, fed, sampled).run(*policy, "m<N"),
+               Error);
 }
 
 }  // namespace

@@ -2,8 +2,11 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstddef>
 #include <memory>
+#include <set>
+#include <span>
 #include <vector>
 
 #include "data/dataset.h"
@@ -155,23 +158,48 @@ TEST(MakeSyntheticVirtual, IsDeterministicAndWellFormed) {
   }
 }
 
-TEST(MakeSyntheticVirtual, PooledTestUsesReservedDeviceIndex) {
+TEST(MakeSyntheticVirtual, PooledTestIsHeldOutFromSeveralFleetDevices) {
+  // The pooled test set must describe the fleet, not one device: it spans
+  // several devices' held-out streams and repeats no training sample.
   SyntheticConfig cfg;
-  cfg.num_devices = 8;
+  cfg.num_devices = 40;
   cfg.dim = 5;
   cfg.num_classes = 3;
+  cfg.min_samples = 5;
+  cfg.max_samples = 30;
   cfg.seed = 13;
-  const VirtualFederation f = make_synthetic_virtual(cfg, 64);
+  constexpr std::size_t kPooled = 64;
+  const VirtualFederation f = make_synthetic_virtual(cfg, kPooled);
   const Dataset& pooled = f.pooled_test();
-  ASSERT_EQ(pooled.size(), 64u);
-  // The pooled test set comes from device index num_devices — the reserved
-  // slot no training shard can collide with.
-  const Dataset ref = make_synthetic_device(cfg, cfg.num_devices, 64);
-  for (std::size_t i = 0; i < 64; ++i) {
-    for (std::size_t j = 0; j < pooled.feature_dim(); ++j) {
-      EXPECT_EQ(pooled.sample(i)[j], ref.sample(i)[j]);
+  ASSERT_EQ(pooled.size(), kPooled);
+  const auto same = [](std::span<const double> x, std::span<const double> y) {
+    return std::equal(x.begin(), x.end(), y.begin(), y.end());
+  };
+  std::set<std::size_t> sources;
+  std::vector<bool> found(kPooled, false);
+  for (std::size_t d = 0; d < cfg.num_devices; ++d) {
+    Dataset scratch;
+    const Dataset& shard = f.train(d, scratch);
+    const Dataset held = make_synthetic_device(cfg, d, kPooled, true);
+    for (std::size_t i = 0; i < kPooled; ++i) {
+      for (std::size_t j = 0; j < shard.size(); ++j) {
+        EXPECT_FALSE(same(pooled.sample(i), shard.sample(j)))
+            << "pooled sample " << i << " is in device " << d << "'s shard";
+      }
+      for (std::size_t j = 0; j < held.size(); ++j) {
+        if (!same(pooled.sample(i), held.sample(j))) continue;
+        EXPECT_EQ(pooled.label(i), held.label(j));
+        found[i] = true;
+        sources.insert(d);
+      }
     }
-    EXPECT_EQ(pooled.label(i), ref.label(i));
+  }
+  for (std::size_t i = 0; i < kPooled; ++i) EXPECT_TRUE(found[i]) << i;
+  EXPECT_GE(sources.size(), 2u);
+  // Deterministic in the seed.
+  const VirtualFederation again = make_synthetic_virtual(cfg, kPooled);
+  for (std::size_t i = 0; i < kPooled; ++i) {
+    EXPECT_TRUE(same(pooled.sample(i), again.pooled_test().sample(i)));
   }
 }
 

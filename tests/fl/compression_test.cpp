@@ -1,4 +1,4 @@
-#include "fl/compression.h"
+#include "comm/compression.h"
 
 #include <gtest/gtest.h>
 
@@ -19,7 +19,7 @@ using fedvr::util::Error;
 using fedvr::util::Rng;
 
 TEST(TopK, KeepsLargestMagnitudes) {
-  const TopKCompressor comp(0.4);  // keep 2 of 5
+  const comm::TopKCompressor comp(0.4);  // keep 2 of 5
   std::vector<double> delta = {0.1, -5.0, 0.3, 4.0, -0.2};
   Rng rng(1);
   comp.compress(delta, rng);
@@ -31,7 +31,7 @@ TEST(TopK, KeepsLargestMagnitudes) {
 }
 
 TEST(TopK, FullFractionIsIdentity) {
-  const TopKCompressor comp(1.0);
+  const comm::TopKCompressor comp(1.0);
   std::vector<double> delta = {1.0, -2.0, 3.0};
   const auto original = delta;
   Rng rng(1);
@@ -40,7 +40,7 @@ TEST(TopK, FullFractionIsIdentity) {
 }
 
 TEST(TopK, KeepsAtLeastOneCoordinate) {
-  const TopKCompressor comp(0.01);
+  const comm::TopKCompressor comp(0.01);
   EXPECT_EQ(comp.kept(5), 1u);
   std::vector<double> delta = {0.0, 0.0, 7.0, 0.0, 0.0};
   Rng rng(1);
@@ -49,19 +49,19 @@ TEST(TopK, KeepsAtLeastOneCoordinate) {
 }
 
 TEST(TopK, WireBytesReflectSparsity) {
-  const TopKCompressor comp(0.1);
+  const comm::TopKCompressor comp(0.1);
   // 10% of 1000 = 100 coords x (8 value + 4 index) bytes.
   EXPECT_EQ(comp.wire_bytes(1000), 100u * 12u);
   EXPECT_LT(comp.wire_bytes(1000), 1000u * 8u);
 }
 
 TEST(TopK, RejectsBadFraction) {
-  EXPECT_THROW(TopKCompressor(0.0), Error);
-  EXPECT_THROW(TopKCompressor(1.5), Error);
+  EXPECT_THROW(comm::TopKCompressor(0.0), Error);
+  EXPECT_THROW(comm::TopKCompressor(1.5), Error);
 }
 
 TEST(RandK, KeepsExactlyKScaledCoordinates) {
-  const RandKCompressor comp(0.25);  // keep 2 of 8
+  const comm::RandKCompressor comp(0.25);  // keep 2 of 8
   std::vector<double> delta(8, 1.0);
   Rng rng(3);
   comp.compress(delta, rng);
@@ -76,7 +76,7 @@ TEST(RandK, KeepsExactlyKScaledCoordinates) {
 }
 
 TEST(RandK, IsUnbiasedInExpectation) {
-  const RandKCompressor comp(0.5);
+  const comm::RandKCompressor comp(0.5);
   const std::vector<double> original = {1.0, -2.0, 3.0, -4.0};
   std::vector<double> mean(4, 0.0);
   const int trials = 20000;
@@ -95,7 +95,7 @@ TEST(TopK, TieBreaksByLowestIndex) {
   // Equal magnitudes are ordered by index, so the kept set is unique:
   // nth_element's unspecified tie permutation (which differs across
   // standard libraries) must never decide which coordinate survives.
-  const TopKCompressor comp(0.5);  // keep 3 of 6
+  const comm::TopKCompressor comp(0.5);  // keep 3 of 6
   std::vector<double> delta = {1.0, -1.0, 1.0, -1.0, 1.0, 1.0};
   Rng rng(1);
   comp.compress(delta, rng);
@@ -107,7 +107,7 @@ TEST(TopK, TieHeavyInputIsDeterministic) {
   // Duplicated magnitudes interleaved with strictly larger ones: the large
   // entries always survive, and ties fill the remaining slots lowest-index
   // first.
-  const TopKCompressor comp(0.375);  // keep 3 of 8
+  const comm::TopKCompressor comp(0.375);  // keep 3 of 8
   std::vector<double> delta = {2.0, 1.0, -2.0, 1.0, 2.0, 1.0, -1.0, 1.0};
   Rng rng(9);
   comp.compress(delta, rng);
@@ -126,7 +126,7 @@ TEST(RandK, ScaleUsesRealizedKeepRateNotTheNominalFraction) {
   // dim = 5, fraction = 0.01: the floor of one kept coordinate makes the
   // realized keep-rate 1/5, so the survivor must be scaled by 5 — scaling
   // by 1/fraction = 100 would inflate the estimator by 20x.
-  const RandKCompressor comp(0.01);
+  const comm::RandKCompressor comp(0.01);
   ASSERT_EQ(comp.kept(5), 1u);
   std::vector<double> delta(5, 1.0);
   Rng rng(11);
@@ -141,7 +141,7 @@ TEST(RandK, UnbiasedOnAwkwardDimension) {
   // 2/7 differs from the nominal 0.3. Averaging many compressions must
   // still recover the input — the regression the 1/fraction scaling bug
   // would fail (systematic 5% inflation, far outside the tolerance).
-  const RandKCompressor comp(0.3);
+  const comm::RandKCompressor comp(0.3);
   ASSERT_EQ(comp.kept(7), 2u);
   const std::vector<double> original = {1.0, -2.0, 3.0, -4.0, 5.0, -6.0, 7.0};
   std::vector<double> mean(7, 0.0);
@@ -158,7 +158,7 @@ TEST(RandK, UnbiasedOnAwkwardDimension) {
 }
 
 TEST(RandK, DifferentSeedsPickDifferentSupports) {
-  const RandKCompressor comp(0.2);
+  const comm::RandKCompressor comp(0.2);
   std::vector<double> a(20, 1.0), b(20, 1.0);
   Rng r1(1), r2(2);
   comp.compress(a, r1);
@@ -194,7 +194,7 @@ TEST(TrainerCompression, ReducesUplinkBytes) {
   TrainerOptions plain;
   plain.rounds = 4;
   TrainerOptions compressed = plain;
-  compressed.uplink_compressor = std::make_shared<TopKCompressor>(0.5);
+  compressed.comm.compressor = std::make_shared<comm::TopKCompressor>(0.5);
   const Trainer t1(model, fed, plain);
   const Trainer t2(model, fed, compressed);
   const auto a = t1.run(quad_solver(model), "plain");
@@ -210,7 +210,7 @@ TEST(TrainerCompression, StillConvergesOnQuadratic) {
   const auto fed = small_fed();
   TrainerOptions opts;
   opts.rounds = 25;
-  opts.uplink_compressor = std::make_shared<TopKCompressor>(0.5);
+  opts.comm.compressor = std::make_shared<comm::TopKCompressor>(0.5);
   const Trainer trainer(model, fed, opts);
   const auto trace = trainer.run(quad_solver(model), "topk");
   EXPECT_LT(trace.back().train_loss, trace.rounds.front().train_loss);
@@ -222,7 +222,7 @@ TEST(TrainerCompression, FullFractionMatchesUncompressedRun) {
   TrainerOptions plain;
   plain.rounds = 5;
   TrainerOptions identity = plain;
-  identity.uplink_compressor = std::make_shared<TopKCompressor>(1.0);
+  identity.comm.compressor = std::make_shared<comm::TopKCompressor>(1.0);
   const Trainer t1(model, fed, plain);
   const Trainer t2(model, fed, identity);
   const auto a = t1.run(quad_solver(model), "x");
