@@ -33,8 +33,10 @@ void ElementwiseLayer::backward(std::span<const double> w, std::size_t batch,
                                 std::span<double> dx, std::span<double> dw,
                                 const LayerCache& cache) const {
   FEDVR_CHECK(w.empty() && dw.empty());
-  FEDVR_CHECK(dy.size() == batch * size_ && dx.size() == batch * size_);
+  FEDVR_CHECK(dy.size() == batch * size_ &&
+              (dx.empty() || dx.size() == batch * size_));
   FEDVR_CHECK(cache.scratch.size() == batch * size_);
+  if (dx.empty()) return;  // no parameters: an unneeded dx is all the work
   for (std::size_t i = 0; i < dy.size(); ++i) {
     dx[i] = dy[i] * derivative_from_output(cache.scratch[i]);
   }
@@ -73,8 +75,10 @@ void ReluLayer::backward(std::span<const double> w, std::size_t batch,
                          std::span<double> dw,
                          const LayerCache& cache) const {
   FEDVR_CHECK(w.empty() && dw.empty());
-  FEDVR_CHECK(dy.size() == batch * size_ && dx.size() == batch * size_);
+  FEDVR_CHECK(dy.size() == batch * size_ &&
+              (dx.empty() || dx.size() == batch * size_));
   FEDVR_CHECK(cache.input.size() == batch * size_);
+  if (dx.empty()) return;  // no parameters: an unneeded dx is all the work
   tensor::relu_backward(cache.input, dy, dx);
 }
 

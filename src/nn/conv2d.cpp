@@ -78,7 +78,7 @@ void Conv2dLayer::backward(std::span<const double> w, std::size_t batch,
                            const LayerCache& cache) const {
   FEDVR_CHECK(w.size() == param_count() && dw.size() == param_count());
   FEDVR_CHECK(dy.size() == batch * out_size() &&
-              dx.size() == batch * in_size());
+              (dx.empty() || dx.size() == batch * in_size()));
   FEDVR_CHECK(cache.input.size() == batch * in_size());
   const std::size_t col_rows = geometry_.col_rows();
   const std::size_t pixels = geometry_.out_pixels();
@@ -101,14 +101,17 @@ void Conv2dLayer::backward(std::span<const double> w, std::size_t batch,
   tensor::Workspace ws(tensor::scratch_arena());
   auto partials = ws.alloc_zeroed<double>(nblocks * psize);
   // W^T materialized once so every d_cols GEMM reads unit-stride operands
-  // instead of re-packing the transposed weights per sample.
-  auto wt = ws.alloc<double>(col_rows * out_channels_);
-  tensor::transpose(out_channels_, col_rows, weights, wt);
+  // instead of re-packing the transposed weights per sample. An empty dx
+  // (first layer) skips the whole input-gradient side.
+  const bool want_dx = !dx.empty();
+  const std::size_t d_cols_size = want_dx ? col_rows * pixels : 0;
+  auto wt = ws.alloc<double>(want_dx ? col_rows * out_channels_ : 0);
+  if (want_dx) tensor::transpose(out_channels_, col_rows, weights, wt);
 
   util::ThreadPool::global().parallel_for(0, nblocks, [&](std::size_t blk) {
     tensor::Workspace wws(tensor::scratch_arena());
     auto cols = wws.alloc<double>(col_rows * pixels);
-    auto d_cols = wws.alloc<double>(col_rows * pixels);
+    auto d_cols = wws.alloc<double>(d_cols_size);
     auto pw = std::span<double>(partials).subspan(blk * psize, wsize);
     auto pb = std::span<double>(partials).subspan(blk * psize + wsize,
                                                   out_channels_);
@@ -116,7 +119,6 @@ void Conv2dLayer::backward(std::span<const double> w, std::size_t batch,
     for (std::size_t s = blk * kGradBlock; s < s_end; ++s) {
       const auto image = input.subspan(s * in_size(), in_size());
       const auto d_out = dy.subspan(s * out_size(), out_size());
-      auto d_image = dx.subspan(s * in_size(), in_size());
 
       // pw (col_rows x oc) += cols (col_rows x pixels) * d_out^T (pixels x
       // oc)
@@ -126,10 +128,12 @@ void Conv2dLayer::backward(std::span<const double> w, std::size_t batch,
       // pb[oc] += sum over pixels of d_out(oc, .), per sample in ascending
       // order.
       tensor::add_row_sums(out_channels_, pixels, d_out, pb);
+      if (!want_dx) continue;
       // d_cols (col_rows x pixels) = W^T (col_rows x oc) * d_out (oc x
       // pixels)
       tensor::gemm_packed(tensor::Trans::kNo, tensor::Trans::kNo, col_rows,
                           pixels, out_channels_, 1.0, wt, d_out, 0.0, d_cols);
+      auto d_image = dx.subspan(s * in_size(), in_size());
       tensor::fill(d_image, 0.0);
       tensor::col2im(geometry_, d_cols, d_image);
     }

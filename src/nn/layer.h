@@ -50,7 +50,10 @@ class Layer {
 
   /// Given upstream gradient dy, writes dx (gradient w.r.t. the input) and
   /// *accumulates* into dw (gradient w.r.t. this layer's parameters).
-  /// `cache` must come from a matching forward() call.
+  /// An empty dx means the input gradient is not needed (the first layer of
+  /// a Sequential): the layer skips computing it, and dw comes out the same
+  /// bits as with a full dx. `cache` must come from a matching forward()
+  /// call.
   virtual void backward(std::span<const double> w, std::size_t batch,
                         std::span<const double> dy, std::span<double> dx,
                         std::span<double> dw,

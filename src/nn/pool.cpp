@@ -69,8 +69,9 @@ void MaxPool2dLayer::backward(std::span<const double> w, std::size_t batch,
                               const LayerCache& cache) const {
   FEDVR_CHECK(w.empty() && dw.empty());
   FEDVR_CHECK(dy.size() == batch * out_size() &&
-              dx.size() == batch * in_size());
+              (dx.empty() || dx.size() == batch * in_size()));
   FEDVR_CHECK(cache.indices.size() == batch * out_size());
+  if (dx.empty()) return;  // no parameters: an unneeded dx is all the work
   tensor::fill(dx, 0.0);
   for (std::size_t s = 0; s < batch; ++s) {
     const double* d_out = dy.data() + s * out_size();

@@ -77,8 +77,13 @@ void Sequential::backward(std::span<const double> w, std::size_t batch,
   FEDVR_CHECK_FINITE(d_out, "sequential upstream gradient");
   std::span<const double> upstream = d_out;
   for (std::size_t i = layers_.size(); i-- > 0;) {
-    auto& d_in = ws.grads[i];
-    d_in.resize(batch * layers_[i]->in_size());
+    // Layer 0's input gradient is the gradient w.r.t. the data, which
+    // nothing reads: an empty dx tells the layer to skip it.
+    std::span<double> d_in;
+    if (i > 0) {
+      ws.grads[i].resize(batch * layers_[i]->in_size());
+      d_in = ws.grads[i];
+    }
     layers_[i]->backward(w.subspan(offsets_[i], layers_[i]->param_count()),
                          batch, upstream, d_in,
                          dw.subspan(offsets_[i], layers_[i]->param_count()),
@@ -88,7 +93,7 @@ void Sequential::backward(std::span<const double> w, std::size_t batch,
     FEDVR_CHECK_FINITE(d_in, layers_[i]->name().c_str());
     upstream = d_in;
   }
-  (void)x;  // input gradient (ws.grads[0]) is available but unused here
+  (void)x;
 }
 
 }  // namespace fedvr::nn

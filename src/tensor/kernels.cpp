@@ -57,9 +57,9 @@ constexpr std::size_t kKc = 256;
 constexpr std::size_t kNc = 256;
 
 // Below this m*n*k volume the pack + dispatch overhead of the blocked path
-// outweighs its cache wins; a packed triple loop runs instead. Selection
-// depends only on the shape, never on the pool, so it cannot perturb
-// determinism.
+// outweighs its cache wins; the register-tiled small path runs instead.
+// Selection depends only on the shape, never on the pool, so it cannot
+// perturb determinism.
 constexpr std::size_t kBlockedMinVolume = 32 * 32 * 32;
 
 // Element (i, p) of op(A) stored with row stride ld.
@@ -68,42 +68,134 @@ inline double op_at(Trans trans, std::span<const double> m, std::size_t ld,
   return trans == Trans::kNo ? m[i * ld + p] : m[p * ld + i];
 }
 
-// C (m x n, row stride ldc) += alpha * A (m x k, packed) * B (k x n, packed),
-// where A and B have already been materialized in non-transposed packed
-// layout. ikj loop order keeps B and C accesses unit-stride.
-FEDVR_KERNEL_CLONES
-void gemm_core(std::size_t m, std::size_t n, std::size_t k, double alpha,
-               const double* a, const double* b, std::span<double> c,
-               std::size_t ldc) {
-  for (std::size_t i = 0; i < m; ++i) {
-    double* c_row = c.data() + i * ldc;
-    const double* a_row = a + i * k;
-    for (std::size_t p = 0; p < k; ++p) {
-      const double a_ip = alpha * a_row[p];
-      const double* b_row = b + p * n;
-      for (std::size_t j = 0; j < n; ++j) {
-        c_row[j] += a_ip * b_row[j];
-      }
+// ---- Small-product path (m * n * k below kBlockedMinVolume) ----
+//
+// C is register-tiled: each tile of up to kSmallMr rows x kSmallNr columns
+// stays in vector accumulators for the whole k loop, so C is read and
+// written once per call instead of once per depth step. Per-element order
+// (the determinism contract, DESIGN.md §10): after gemm() has applied beta,
+// every element runs C_ij <- C_ij + (alpha * A_ip) * B_pj for p ascending,
+// one FMA or mul + add per step depending on the clone — tile shape and
+// remainder handling only decide which elements share a tile.
+//
+// Vec4 is a GCC vector extension type: one ymm register in the x86-64-v3
+// clone, an xmm pair in the portable one. The accumulators must be vector
+// types, not plain arrays left to the SLP vectorizer: in the FMA clone that
+// left some lanes as unfused mul + add, which changes their bits.
+using Vec4 = double __attribute__((vector_size(4 * sizeof(double))));
+// The same four doubles at double alignment, for loads and stores through
+// double pointers.
+typedef double Vec4Unaligned
+    __attribute__((vector_size(4 * sizeof(double)), aligned(alignof(double)),
+                   may_alias));
+constexpr std::size_t kSmallMr = 4;
+constexpr std::size_t kSmallVecs = 2;
+constexpr std::size_t kSmallNr = 4 * kSmallVecs;
+
+// C tile (MR rows x nr <= 4 * NV columns, row stride ldc) += alpha * A * B
+// over k depth steps. A(r, p) = a[r * a_rs + p * a_ps], so either transpose
+// is read in place; every B row offers 4 * NV readable doubles (zero-padded
+// past the matrix's last column). Padded lanes are computed but never
+// stored. The accumulators are plain values, never addressed, so they stay
+// in registers.
+template <std::size_t MR, std::size_t NV>
+[[gnu::always_inline]] inline void small_tile(std::size_t k, double alpha,
+                                              const double* a,
+                                              std::size_t a_rs,
+                                              std::size_t a_ps,
+                                              const double* b, std::size_t ldb,
+                                              double* c, std::size_t ldc,
+                                              std::size_t nr) {
+  constexpr std::size_t kW = 4 * NV;
+  Vec4 acc[MR][NV];
+  for (std::size_t r = 0; r < MR; ++r) {
+    double edge[kW] = {};
+    const double* src = c + r * ldc;
+    if (nr < kW) {
+      std::copy_n(src, nr, edge);
+      src = edge;
     }
+    for (std::size_t v = 0; v < NV; ++v) {
+      acc[r][v] = *reinterpret_cast<const Vec4Unaligned*>(src + 4 * v);
+    }
+  }
+  for (std::size_t p = 0; p < k; ++p) {
+    const double* b_row = b + p * ldb;
+    Vec4 bv[NV];
+    for (std::size_t v = 0; v < NV; ++v) {
+      bv[v] = *reinterpret_cast<const Vec4Unaligned*>(b_row + 4 * v);
+    }
+    for (std::size_t r = 0; r < MR; ++r) {
+      const double a_rp = alpha * a[r * a_rs + p * a_ps];
+      const Vec4 av = {a_rp, a_rp, a_rp, a_rp};
+      for (std::size_t v = 0; v < NV; ++v) acc[r][v] += av * bv[v];
+    }
+  }
+  for (std::size_t r = 0; r < MR; ++r) {
+    double edge[kW];
+    double* dst = nr < kW ? edge : c + r * ldc;
+    for (std::size_t v = 0; v < NV; ++v) {
+      *reinterpret_cast<Vec4Unaligned*>(dst + 4 * v) = acc[r][v];
+    }
+    if (nr < kW) std::copy_n(edge, nr, c + r * ldc);
   }
 }
 
-// Packs op(M) into `out` as a (rows x cols) row-major matrix. `out` is
-// caller-provided (arena) storage of exactly rows * cols doubles.
-void pack(Trans trans, std::size_t rows, std::size_t cols,
-          std::span<const double> src, std::size_t ld, std::span<double> out) {
-  if (trans == Trans::kNo) {
-    for (std::size_t i = 0; i < rows; ++i) {
-      const double* s = src.data() + i * ld;
-      std::copy(s, s + cols, out.data() + i * cols);
-    }
-  } else {
-    // Stored matrix is (cols x rows) with row stride ld; emit its transpose.
-    for (std::size_t i = 0; i < rows; ++i) {
-      for (std::size_t j = 0; j < cols; ++j) {
-        out[i * cols + j] = src[j * ld + i];
-      }
-    }
+// One MR-row strip of C across all n columns: full kSmallNr-wide tiles,
+// then a single narrower tile for the remainder.
+template <std::size_t MR>
+[[gnu::always_inline]] inline void small_strip(std::size_t n, std::size_t k,
+                                               double alpha, const double* a,
+                                               std::size_t a_rs,
+                                               std::size_t a_ps,
+                                               const double* b,
+                                               std::size_t ldb, double* c,
+                                               std::size_t ldc) {
+  std::size_t j = 0;
+  for (; j + kSmallNr <= n; j += kSmallNr) {
+    small_tile<MR, kSmallVecs>(k, alpha, a, a_rs, a_ps, b + j, ldb, c + j,
+                               ldc, kSmallNr);
+  }
+  const std::size_t rest = n - j;
+  if (rest > 4) {
+    small_tile<MR, 2>(k, alpha, a, a_rs, a_ps, b + j, ldb, c + j, ldc, rest);
+  } else if (rest > 0) {
+    small_tile<MR, 1>(k, alpha, a, a_rs, a_ps, b + j, ldb, c + j, ldc, rest);
+  }
+}
+
+// C (m x n, row stride ldc) += alpha * A * B with A addressed as in
+// small_tile and B (k x n, row stride ldb) readable up to n rounded up to a
+// multiple of 4 columns.
+FEDVR_KERNEL_CLONES
+void gemm_core(std::size_t m, std::size_t n, std::size_t k, double alpha,
+               const double* a, std::size_t a_rs, std::size_t a_ps,
+               const double* b, std::size_t ldb, double* c, std::size_t ldc) {
+  std::size_t i = 0;
+  for (; i + kSmallMr <= m; i += kSmallMr) {
+    small_strip<kSmallMr>(n, k, alpha, a + i * a_rs, a_rs, a_ps, b, ldb,
+                          c + i * ldc, ldc);
+  }
+  if (i + 2 <= m) {
+    small_strip<2>(n, k, alpha, a + i * a_rs, a_rs, a_ps, b, ldb, c + i * ldc,
+                   ldc);
+    i += 2;
+  }
+  if (i < m) {
+    small_strip<1>(n, k, alpha, a + i * a_rs, a_rs, a_ps, b, ldb, c + i * ldc,
+                   ldc);
+  }
+}
+
+// Packs op(B) (k x n) row-major at row stride ldp >= n into `out`, zeroing
+// columns [n, ldp) so gemm_core's 4-wide loads stay inside the buffer.
+void pack_b_padded(Trans trans, std::size_t k, std::size_t n,
+                   std::span<const double> b, std::size_t ldb,
+                   std::size_t ldp, std::span<double> out) {
+  for (std::size_t p = 0; p < k; ++p) {
+    double* dst = out.data() + p * ldp;
+    for (std::size_t j = 0; j < n; ++j) dst[j] = op_at(trans, b, ldb, p, j);
+    std::fill(dst + n, dst + ldp, 0.0);
   }
 }
 
@@ -433,27 +525,22 @@ void gemm(Trans trans_a, Trans trans_b, std::size_t m, std::size_t n,
     return;
   }
 
-  // Small-product path: pack operands into non-transposed layout. Simpler
-  // than four loop variants, and the packing cost is linear while the
-  // product is cubic. Pack storage comes from the per-thread arena scope.
+  // Small-product path: A is read in place through its strides; B is
+  // repacked only when a transpose or a column count that is not a multiple
+  // of 4 keeps gemm_core's row loads from reading it directly.
+  const std::size_t a_rs = trans_a == Trans::kNo ? lda : 1;
+  const std::size_t a_ps = trans_a == Trans::kNo ? 1 : lda;
+  if (trans_b == Trans::kNo && n % 4 == 0) {
+    gemm_core(m, n, k, alpha, a.data(), a_rs, a_ps, b.data(), ldb, c.data(),
+              ldc);
+    return;
+  }
   Workspace ws(scratch_arena());
-  const double* a_ptr;
-  const double* b_ptr;
-  if (trans_a == Trans::kNo && lda == k) {
-    a_ptr = a.data();
-  } else {
-    auto a_pack = ws.alloc<double>(m * k);
-    pack(trans_a, m, k, a, lda, a_pack);
-    a_ptr = a_pack.data();
-  }
-  if (trans_b == Trans::kNo && ldb == n) {
-    b_ptr = b.data();
-  } else {
-    auto b_pack = ws.alloc<double>(k * n);
-    pack(trans_b, k, n, b, ldb, b_pack);
-    b_ptr = b_pack.data();
-  }
-  gemm_core(m, n, k, alpha, a_ptr, b_ptr, c, ldc);
+  const std::size_t ldp = (n + 3) / 4 * 4;
+  auto b_pack = ws.alloc<double>(k * ldp);
+  pack_b_padded(trans_b, k, n, b, ldb, ldp, b_pack);
+  gemm_core(m, n, k, alpha, a.data(), a_rs, a_ps, b_pack.data(), ldp,
+            c.data(), ldc);
 }
 
 void gemm_packed(Trans trans_a, Trans trans_b, std::size_t m, std::size_t n,

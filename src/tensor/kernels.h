@@ -8,8 +8,8 @@
 // BLAS per the reproduction rules. The k-accumulation order of every C
 // element is fixed by the blocking constants alone, never by the thread
 // partition, so results are bit-identical across pool sizes (the
-// determinism contract; see DESIGN.md §10). Small products take a packed
-// triple-loop path whose selection depends only on (m, n, k).
+// determinism contract; see DESIGN.md §10). Small products take a
+// register-tiled unblocked path whose selection depends only on (m, n, k).
 #pragma once
 
 #include <cstddef>
