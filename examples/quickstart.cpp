@@ -8,8 +8,8 @@
 //
 // Walks through the whole public API: generate federated data, build a
 // model, estimate the smoothness constant, pick hyperparameters, run, and
-// inspect the trace. Passing --trace or --obs-metrics turns on the
-// fedvr::obs profiler: the run exports a Chrome trace_event file (load it
+// inspect the trace. Passing --trace or --obs-metrics turns on
+// fedvr::obs: the run exports a Chrome trace_event file (load it
 // in chrome://tracing or https://ui.perfetto.dev) plus a metrics JSONL
 // snapshot, and prints the measured per-round delays next to the analytic
 // eq. 19 model.

@@ -39,7 +39,10 @@ bool ChannelOptions::transforms_uplink() const {
 std::string ChannelOptions::label() const {
   std::string s = compressor ? compressor->name() : "dense";
   if (error_feedback) s += "+ef";
-  s += "/" + dtype_name(uplink_dtype);
+  // Two appends, not "/" + name: GCC 12's -Wrestrict misfires on the
+  // temporary that operator+ builds.
+  s += '/';
+  s += dtype_name(uplink_dtype);
   return s;
 }
 
@@ -112,10 +115,6 @@ double Channel::link_round_time(const fl::TimingModel& timing) const {
   const LinkModel link =
       LinkModel::derive(timing, reference, options_.latency_fraction);
   return link.transfer_time(downlink_wire_bytes() + uplink_wire_bytes());
-}
-
-void Channel::reset() {
-  if (options_.error_feedback) ef_.reset();
 }
 
 }  // namespace fedvr::comm

@@ -1,7 +1,5 @@
 #include "comm/error_feedback.h"
 
-#include <algorithm>
-
 #include "tensor/vecops.h"
 #include "util/error.h"
 
@@ -51,11 +49,6 @@ std::span<const double> ErrorFeedback::residual(std::size_t device) const {
   FEDVR_CHECK_MSG(it != residuals_.end(),
                   "device " << device << " has no residual slot");
   return it->second;
-}
-
-void ErrorFeedback::reset() {
-  // lint:allow(no-unordered-iteration-in-reduction) independent per-slot zero fills; order is unobservable
-  for (auto& [device, e] : residuals_) std::fill(e.begin(), e.end(), 0.0);
 }
 
 }  // namespace fedvr::comm

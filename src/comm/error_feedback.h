@@ -74,9 +74,6 @@ class ErrorFeedback {
   /// The current residual of one device (diagnostics, tests).
   [[nodiscard]] std::span<const double> residual(std::size_t device) const;
 
-  /// Zeroes every registered residual (fresh run over the same channel).
-  void reset();
-
   /// Registered residual slots (== the fleet size for the eager
   /// constructor; devices seen so far for the keyed one).
   [[nodiscard]] std::size_t num_devices() const { return residuals_.size(); }

@@ -163,6 +163,9 @@ std::vector<std::uint8_t> build(std::size_t dim,
                                 bool sparse) {
   const std::size_t total =
       wire_bytes(dtype, dim, values.size(), sparse);
+  // Always-on: also tells GCC the header stores below stay in bounds (its
+  // -Wnull-dereference cannot see that wire_bytes() >= kHeaderBytes).
+  FEDVR_CHECK(total >= kHeaderBytes);
   std::vector<std::uint8_t> buf(total, 0);
   buf[kOffMagic] = kMagic0;
   buf[kOffMagic + 1] = kMagic1;

@@ -176,15 +176,9 @@ class ProxSkipVRPolicy final : public fl::RoundPolicy {
     return std::span<double>(slab).subspan(n * dim_, dim_);
   }
 
-  // Runs f(n) for every device n, device-parallel when the run allows.
+  // Runs f(n) for every device n, device-parallel.
   void for_each_device(const std::function<void(std::size_t)>& f) const {
-    const std::size_t num_devices = run_->fed.num_devices();
-    util::ThreadPool& pool = util::ThreadPool::global();
-    if (run_->options.parallel && pool.size() > 1) {
-      pool.parallel_for(0, num_devices, f);
-    } else {
-      for (std::size_t n = 0; n < num_devices; ++n) f(n);
-    }
+    util::ThreadPool::global().parallel_for(0, run_->fed.num_devices(), f);
   }
 
   void refresh_anchor_gradient(std::size_t n) {
@@ -225,7 +219,6 @@ fl::TrainerOptions trainer_options(const ProxSkipVROptions& options) {
   t.target_accuracy = options.target_accuracy;
   t.comm = options.comm;
   t.faults = options.faults;
-  t.parallel = options.parallel;
   return t;
 }
 

@@ -81,7 +81,6 @@ struct ProxSkipVROptions {
   /// supported by this algorithm (its server step has no defense layer);
   /// enabling them is a configuration error.
   fl::FaultModel faults;
-  bool parallel = true;
 
   /// Always-on validation (util/error.h) of the ProxSkip-specific fields,
   /// called by run_proxskip_vr; the engine validates the rest.

@@ -48,14 +48,7 @@ class TreeMeanAggregator final : public Aggregator {
     std::size_t nodes = (n + fanout - 1) / fanout;
     std::vector<double> sums(nodes * dim);
     std::vector<double> masses(nodes);
-    const auto for_nodes = [&](std::size_t count, const auto& fn) {
-      if (options_.parallel && util::ThreadPool::global().size() > 1) {
-        util::ThreadPool::global().parallel_for(0, count, fn);
-      } else {
-        for (std::size_t b = 0; b < count; ++b) fn(b);
-      }
-    };
-    for_nodes(nodes, [&](std::size_t b) {
+    util::ThreadPool::global().parallel_for(0, nodes, [&](std::size_t b) {
       const std::size_t lo = b * fanout;
       const std::size_t hi = std::min(lo + fanout, n);
       const std::span<double> acc(sums.data() + b * dim, dim);
@@ -81,7 +74,7 @@ class TreeMeanAggregator final : public Aggregator {
       next_sums.resize(parents * dim);
       // lint:allow(no-alloc-in-hot-loop) shrink-only; capacity from the widest level
       next_masses.resize(parents);
-      for_nodes(parents, [&](std::size_t b) {
+      util::ThreadPool::global().parallel_for(0, parents, [&](std::size_t b) {
         const std::size_t lo = b * fanout;
         const std::size_t hi = std::min(lo + fanout, nodes);
         const std::span<double> acc(next_sums.data() + b * dim, dim);

@@ -34,8 +34,6 @@ struct TreeAggregatorOptions {
   /// tree, bit-identical to AggregatorKind::kMean); 1 is invalid (the tree
   /// would never contract). Production-shaped values: 16–64.
   std::size_t fanout = 32;
-  /// Merge the nodes of a level in parallel (bit-identical either way).
-  bool parallel = true;
 
   /// Always-on validation (util/error.h).
   void validate() const;

@@ -9,6 +9,17 @@
 
 namespace fedvr::fl {
 
+MeasuredTiming estimate_timing(const PhaseTimings& totals, std::size_t rounds,
+                              double solve_seconds,
+                              std::size_t solve_iterations) {
+  FEDVR_CHECK_MSG(rounds > 0, "timing estimate needs at least one round");
+  return {.d_com = (totals.broadcast + totals.aggregate) /
+                   static_cast<double>(rounds),
+          .d_cmp = solve_iterations > 0
+                       ? solve_seconds / static_cast<double>(solve_iterations)
+                       : 0.0};
+}
+
 std::pair<double, std::size_t> TrainingTrace::best_accuracy() const {
   FEDVR_CHECK_MSG(!rounds.empty(), "empty training trace");
   double best = -1.0;

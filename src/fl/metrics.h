@@ -35,6 +35,15 @@ struct MeasuredTiming {
   }
 };
 
+/// The estimate from a run's cumulative stage seconds over `rounds` >= 1
+/// rounds: d_com = (broadcast + aggregate) / rounds — eval is diagnostics,
+/// not round time — and d_cmp = solve_seconds / solve_iterations, summed
+/// over the slots that ran a solver (0 when none did).
+[[nodiscard]] MeasuredTiming estimate_timing(const PhaseTimings& totals,
+                                             std::size_t rounds,
+                                             double solve_seconds,
+                                             std::size_t solve_iterations);
+
 struct RoundMetrics {
   std::size_t round = 0;          // global iteration s (1-based)
   double train_loss = 0.0;        // global objective F̄(w̄^(s)) (eq. 2)

@@ -50,7 +50,7 @@ struct RoundState {
 
 /// One participant's local work, as reported to the engine's ledgers.
 struct SlotWork {
-  /// Local iterations run; 0 when no solver ran (no profiler sample).
+  /// Local iterations run; 0 when no solver ran (no measured d_cmp time).
   std::size_t inner_iterations = 0;
   std::size_t sample_grad_evals = 0;
   /// Measured θ diagnostic; < 0 when not measured.

@@ -9,10 +9,9 @@
 #include "check/check.h"
 #include "fl/event_engine.h"
 #include "obs/obs.h"
-#include "opt/workspace.h"
-#include "obs/profiler.h"
 #include "obs/registry.h"
 #include "obs/trace.h"
+#include "opt/workspace.h"
 #include "tensor/vecops.h"
 #include "util/error.h"
 #include "util/log.h"
@@ -418,7 +417,6 @@ class RoundEngine {
         run_{model, fed, trainer.options()},
         obs_on_(options_.observability.enabled),
         channel_(options_.comm, fed.num_devices(), model.num_parameters()),
-        profiler_(obs_on_),
         // Collection is process-global while the run is active; the
         // previous state comes back when the engine goes (throws included).
         obs_was_on_(obs_on_ && obs::set_enabled(true)) {}
@@ -445,53 +443,48 @@ class RoundEngine {
     };
     if (options_.eval_initial) record(0);
 
-    // Profiler samples are slot-keyed: the round's scheduled count, known
-    // before selection, bounds them (O(m), not O(fleet)).
-    const std::size_t slots =
-        options_.devices_per_round.value_or(fed_.num_devices());
     for (std::size_t s = 1; !target_reached && s <= options_.rounds; ++s) {
-      profiler_.begin_round(s, slots);
+      OBS_SPAN("round");
+      const std::uint64_t start = stage_ns();
       {
-        OBS_SPAN("round");
-        {
-          obs::RoundProfiler::ScopedPhase phase(profiler_,
-                                                obs::Phase::kBroadcast);
-          OBS_SPAN("round.broadcast");
-          select(s);
-          schedule(s);
-        }
-        const RoundState round{.round = s,
-                               .communicate = communicate_,
-                               .participants = participants_,
-                               .events = events_,
-                               .schedule = schedule_,
-                               .channel = channel_};
-        {
-          obs::RoundProfiler::ScopedPhase phase(profiler_,
-                                                obs::Phase::kLocalSolve);
-          OBS_SPAN("round.local_solve");
-          solve(round);
-        }
-        {
-          obs::RoundProfiler::ScopedPhase phase(profiler_,
-                                                obs::Phase::kAggregate);
-          OBS_SPAN("round.aggregate");
-          account(combine(round));
-        }
-        if (s % options_.eval_every == 0 ||
-            (s == options_.rounds && options_.eval_final)) {
-          record(s);
-        }
+        OBS_SPAN("round.broadcast");
+        select(s);
+        schedule(s);
       }
-      profiler_.end_round();
+      const RoundState round{.round = s,
+                             .communicate = communicate_,
+                             .participants = participants_,
+                             .events = events_,
+                             .schedule = schedule_,
+                             .channel = channel_};
+      const std::uint64_t scheduled = stage_ns();
+      {
+        OBS_SPAN("round.local_solve");
+        solve(round);
+      }
+      const std::uint64_t solved = stage_ns();
+      {
+        OBS_SPAN("round.aggregate");
+        account(combine(round));
+      }
+      if (obs_on_) {
+        measured_.broadcast += seconds(start, scheduled);
+        measured_.local_solve += seconds(scheduled, solved);
+        measured_.aggregate += seconds(solved, obs::now_ns());
+        ++rounds_run_;
+      }
+      if (s % options_.eval_every == 0 ||
+          (s == options_.rounds && options_.eval_final)) {
+        record(s);
+      }
     }
     const std::span<const double> w = policy_.model();
     trace.final_parameters.assign(w.begin(), w.end());
     trace.final_param_hash = check::hash_span(trace.final_parameters);
     if (obs_on_) {
-      const obs::TimingEstimate est = profiler_.estimate();
-      if (est.valid()) {
-        trace.measured_timing = MeasuredTiming{est.d_com, est.d_cmp};
+      if (rounds_run_ > 0) {
+        trace.measured_timing = estimate_timing(
+            measured_, rounds_run_, solve_seconds_, solve_iterations_);
       }
       const ObservabilityOptions& o = options_.observability;
       if (!o.chrome_trace_path.empty()) {
@@ -509,6 +502,15 @@ class RoundEngine {
   }
 
  private:
+  // The measured-timing clock, read at stage boundaries only when
+  // observability is on (0 otherwise, and then never used).
+  [[nodiscard]] std::uint64_t stage_ns() const {
+    return obs_on_ ? obs::now_ns() : 0;
+  }
+  static double seconds(std::uint64_t from, std::uint64_t to) {
+    return static_cast<double>(to - from) / 1e9;
+  }
+
   // Stage 1: this round's participants, ascending — all N, or m drawn by
   // Floyd's sampler in O(m). The policy then drops devices the server will
   // not schedule (after the draw: the kSelection stream never moves) and
@@ -631,23 +633,25 @@ class RoundEngine {
       }
       channel_.prepare(uplinkers_);
     }
+    if (obs_on_) slot_seconds_.assign(participants_.size(), 0.0);
     auto run_slot = [&](std::size_t i) {
       const std::size_t k = live_[i];
       OBS_SPAN("device.solve");
-      const std::uint64_t start = obs_on_ ? obs::now_ns() : 0;
+      const std::uint64_t start = stage_ns();
       // Pooled solver workspaces: allocation-free once the pool is warm.
       const opt::WorkspacePool::Lease lease(ws_pool_);
       work_[k] = policy_.solve(round, k, *lease);
       if (obs_on_ && work_[k].inner_iterations > 0) {
-        profiler_.record_device(
-            k, static_cast<double>(obs::now_ns() - start) / 1e9,
-            work_[k].inner_iterations);
+        slot_seconds_[k] = seconds(start, obs::now_ns());
       }
     };
-    if (options_.parallel && util::ThreadPool::global().size() > 1) {
-      util::ThreadPool::global().parallel_for(0, live_.size(), run_slot);
-    } else {
-      for (std::size_t i = 0; i < live_.size(); ++i) run_slot(i);
+    util::ThreadPool::global().parallel_for(0, live_.size(), run_slot);
+    if (obs_on_) {
+      // d_cmp's sums: a slot that ran no solver adds 0 to both.
+      solve_seconds_ += tensor::sum(slot_seconds_);
+      for (const std::size_t k : live_) {
+        solve_iterations_ += work_[k].inner_iterations;
+      }
     }
   }
 
@@ -688,8 +692,8 @@ class RoundEngine {
   RoundMetrics evaluate(std::size_t s) {
     RoundMetrics m = ledger_;
     m.round = s;
+    const std::uint64_t start = stage_ns();
     {
-      obs::RoundProfiler::ScopedPhase phase(profiler_, obs::Phase::kEval);
       OBS_SPAN("round.eval");
       const std::span<const double> w = policy_.model();
       m.train_loss = trainer_.global_loss(w);
@@ -700,17 +704,13 @@ class RoundEngine {
       // Determinism audit: equal seeds must give equal hashes every row.
       m.param_hash = check::hash_span(w);
     }
+    if (obs_on_) {
+      measured_.eval += seconds(start, obs::now_ns());
+      m.measured = measured_;
+    }
     m.wall_seconds = wall_.seconds();
     m.comm_bytes = m.uplink_bytes + m.downlink_bytes;
     m.realized_round_time = schedule_.realized_round_time();
-    if (obs_on_) {
-      const obs::PhaseTotals& totals = profiler_.totals();
-      m.measured =
-          PhaseTimings{.broadcast = totals.phase(obs::Phase::kBroadcast),
-                       .local_solve = totals.phase(obs::Phase::kLocalSolve),
-                       .aggregate = totals.phase(obs::Phase::kAggregate),
-                       .eval = totals.phase(obs::Phase::kEval)};
-    }
     if (options_.collect_theta) {
       double sum = 0.0;
       std::size_t count = 0;
@@ -737,13 +737,18 @@ class RoundEngine {
   // The device<->server link (src/comm): error-feedback residuals keyed by
   // device, bytes measured from serialized comm::Message sizes.
   comm::Channel channel_;
-  obs::RoundProfiler profiler_;
   const bool obs_was_on_;
   opt::WorkspacePool ws_pool_;
   util::Stopwatch wall_;
   // The cumulative ledgers (model time, bytes, gradient evaluations, fault
   // and defense counters) in trace schema; evaluate() copies them out.
   RoundMetrics ledger_;
+  // Measured timings (observability on): cumulative stage seconds, the
+  // rounds they cover and d_cmp's sums. O(1) in the number of rounds.
+  PhaseTimings measured_;
+  std::size_t rounds_run_ = 0;
+  double solve_seconds_ = 0.0;
+  std::size_t solve_iterations_ = 0;
 
   bool communicate_ = true;
   std::vector<std::size_t> participants_;  // slot -> device, ascending
@@ -751,6 +756,7 @@ class RoundEngine {
   RoundSchedule schedule_;
   std::vector<std::size_t> live_;          // non-crashed slots, ascending
   std::vector<SlotWork> work_;             // slot-keyed
+  std::vector<double> slot_seconds_;       // slot-keyed solve wall time
   std::vector<std::size_t> uplinkers_;     // devices passed to prepare()
 };
 

@@ -95,8 +95,6 @@ struct TrainerOptions {
   /// aggregation, and the server charges at most the deadline per round
   /// (it stops waiting once the deadline passes).
   std::optional<double> round_deadline;
-  /// Parallel device execution. Deterministic either way.
-  bool parallel = true;
   /// Per-phase / per-device profiling + metrics collection (fedvr::obs).
   ObservabilityOptions observability;
 };

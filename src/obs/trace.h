@@ -83,18 +83,11 @@ void write_chrome_trace_file(const std::string& path);
 ///   {"type":"span_summary","name":"...","count":N,"total_us":X,
 ///    "mean_us":X,"min_us":X,"max_us":X}
 void write_span_summary_jsonl(std::ostream& os);
-void write_span_summary_jsonl_file(const std::string& path);
 
 }  // namespace fedvr::obs
 
-#if defined(FEDVR_OBS_DISABLED)
-#define OBS_SPAN(name) \
-  do {                 \
-  } while (0)
-#else
 #define FEDVR_OBS_CONCAT_IMPL(a, b) a##b
 #define FEDVR_OBS_CONCAT(a, b) FEDVR_OBS_CONCAT_IMPL(a, b)
 #define OBS_SPAN(name)                                       \
   ::fedvr::obs::ScopedSpan FEDVR_OBS_CONCAT(fedvr_obs_span_, \
                                             __COUNTER__)(name)
-#endif

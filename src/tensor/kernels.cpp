@@ -14,20 +14,6 @@
 
 namespace fedvr::tensor {
 
-void scratch_resize(std::vector<double>& buf, std::size_t n) {
-  const bool drop_oversize =
-      buf.capacity() > kScratchCapDoubles && n <= kScratchCapDoubles;
-  if (drop_oversize || n > buf.capacity()) {
-    // Fresh-allocate + swap: contents are scratch, so never pay resize()'s
-    // copy of the stale prefix into the new allocation (and the shrink path
-    // costs exactly one free + one allocation).
-    std::vector<double> fresh(n);
-    buf.swap(fresh);
-    return;
-  }
-  buf.resize(n);
-}
-
 namespace {
 
 // FEDVR_KERNEL_CLONES / FEDVR_KERNEL_HAS_CLONES: see kernel_dispatch.h.

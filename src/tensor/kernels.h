@@ -1,8 +1,8 @@
 // Matrix kernels: GEMM/GEMV and the elementwise / reduction operations the
 // nn layers are written in terms of.
 //
-// Matrices are dense row-major spans with explicit dimensions; the Tensor
-// class provides storage and the layers slice views out of it. GEMM is a
+// Matrices are dense row-major spans with explicit dimensions; callers own
+// the storage and the layers slice views out of it. GEMM is a
 // cache-blocked (MC x NC x KC panels, MR x NR register-tiled microkernel)
 // implementation parallelized over disjoint row-blocks of C — no external
 // BLAS per the reproduction rules. The k-accumulation order of every C
@@ -14,7 +14,6 @@
 
 #include <cstddef>
 #include <span>
-#include <vector>
 
 namespace fedvr::tensor {
 
@@ -23,20 +22,11 @@ enum class Trans { kNo, kYes };
 /// Per-thread kernel scratch above this many doubles (8 MiB) is released
 /// once the current episode no longer needs it, rather than retained for
 /// the lifetime of the thread — one outlier shape must not pin that much
-/// memory per pool worker forever. The kernels themselves draw scratch from
-/// tensor::scratch_arena() (arena.h), whose trim policy enforces the same
-/// cap; scratch_resize() applies it to plain reusable vectors (solver
-/// workspaces, tests). The cap's interaction with the flat-vector helpers
-/// is documented in vecops.h.
+/// memory per pool worker forever. The kernels draw scratch from
+/// tensor::scratch_arena() (arena.h), whose trim policy enforces this cap.
+/// The cap's interaction with the flat-vector helpers is documented in
+/// vecops.h.
 constexpr std::size_t kScratchCapDoubles = 1U << 20;
-
-/// Resizes a reusable scratch vector to n doubles without preserving
-/// contents: grows via fresh allocation + swap (never copies the stale
-/// prefix the way resize() would), and releases retained capacity when it
-/// exceeds kScratchCapDoubles and the new request fits under the cap —
-/// one free + one allocation, not the free/realloc pair a shrink-through-
-/// resize() would cost. Contents after the call are unspecified.
-void scratch_resize(std::vector<double>& buf, std::size_t n);
 
 /// C = alpha * op(A) * op(B) + beta * C.
 /// A is (m x k) after op, B is (k x n) after op, C is (m x n).

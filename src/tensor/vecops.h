@@ -9,10 +9,9 @@
 // Scratch-cap policy: none of these helpers allocate — every function
 // writes through caller-provided spans, so the retained-capacity cap
 // (tensor::kScratchCapDoubles, kernels.h) never applies *inside* vecops.
-// It binds at the layer that owns the buffers these spans view: reusable
-// vectors sized with scratch_resize() release capacity above the cap when
-// a small request follows a huge one, and arena-backed scratch
-// (tensor::scratch_arena) trims its slab to the same bound at episode end.
+// It binds at the layer that owns the buffers these spans view:
+// arena-backed scratch (tensor::scratch_arena) trims its slab to the cap at
+// episode end.
 // Callers holding long-lived flat vectors (solver workspaces, accumulator
 // slabs) therefore pass vecops views freely: capacity policy is decided
 // where the vector is resized, never where it is read or written.

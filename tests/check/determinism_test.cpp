@@ -61,7 +61,6 @@ TrainerOptions base_options() {
   TrainerOptions options;
   options.rounds = 8;
   options.seed = 42;
-  options.parallel = true;
   return options;
 }
 
@@ -85,16 +84,6 @@ TEST(Determinism, IdenticalSeededRunsAreHashEqual) {
   const auto b = run_once(base_options());
   check::set_enabled(previous);
   expect_hash_equal_traces(a, b);
-}
-
-TEST(Determinism, SerialAndParallelExecutionAgree) {
-  const bool previous = check::set_enabled(true);
-  const auto parallel = run_once(base_options());
-  TrainerOptions serial_opts = base_options();
-  serial_opts.parallel = false;
-  const auto serial = run_once(serial_opts);
-  check::set_enabled(previous);
-  expect_hash_equal_traces(parallel, serial);
 }
 
 TEST(Determinism, ProfilingDoesNotPerturbParameters) {
@@ -150,7 +139,6 @@ TEST(Determinism, MlpRunHashEqualAcrossPoolSizes) {
     TrainerOptions options;
     options.rounds = 2;
     options.seed = 42;
-    options.parallel = true;
     const Trainer trainer(model, fed, options);
     return trainer.run(svrg_solver(model), "determinism-mlp");
   };

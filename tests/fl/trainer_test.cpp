@@ -133,16 +133,15 @@ TEST(Trainer, ConvergesToWeightedOptimumWithFullGradientLocalSteps) {
 TEST(Trainer, SerialAndParallelRunsProduceIdenticalTraces) {
   auto model = std::make_shared<QuadraticModel>(kDim);
   const auto fed = two_device_fed(15, 25, 1.0, -2.0);
-  TrainerOptions serial;
-  serial.rounds = 10;
-  serial.seed = 7;
-  serial.parallel = false;
-  TrainerOptions parallel = serial;
-  parallel.parallel = true;
-  const Trainer ts(model, fed, serial);
-  const Trainer tp(model, fed, parallel);
-  const auto a = ts.run(gd_solver(model, 3, 0.2, 0.5), "x");
-  const auto b = tp.run(gd_solver(model, 3, 0.2, 0.5), "x");
+  TrainerOptions opts;
+  opts.rounds = 10;
+  opts.seed = 7;
+  const Trainer trainer(model, fed, opts);
+  // A one-worker pool runs every device inline on the calling thread.
+  util::ThreadPool::reset_global(1);
+  const auto a = trainer.run(gd_solver(model, 3, 0.2, 0.5), "x");
+  util::ThreadPool::reset_global(0);
+  const auto b = trainer.run(gd_solver(model, 3, 0.2, 0.5), "x");
   ASSERT_EQ(a.rounds.size(), b.rounds.size());
   for (std::size_t i = 0; i < a.rounds.size(); ++i) {
     EXPECT_DOUBLE_EQ(a.rounds[i].train_loss, b.rounds[i].train_loss);
