@@ -41,6 +41,16 @@ TEST(ChannelOptions, LabelNamesThePipeline) {
   EXPECT_EQ(lossy.label(), "top-k(0.25)+ef/q8");
 }
 
+TEST(ChannelOptions, LabelEndsWithTheUplinkDtype) {
+  ChannelOptions ef_only;
+  ef_only.error_feedback = true;
+  ef_only.uplink_dtype = DType::kFloat32;
+  EXPECT_EQ(ef_only.label(), "dense+ef/f32");
+  // The downlink is always a dense broadcast; its dtype is not the label's.
+  ef_only.downlink_dtype = DType::kInt8Block;
+  EXPECT_EQ(ef_only.label(), "dense+ef/f32");
+}
+
 TEST(Channel, PassthroughChannelDoesNotTouchValues) {
   const std::size_t dim = 16;
   Channel ch(ChannelOptions{}, 2, dim);

@@ -152,6 +152,51 @@ TEST(Message, FromBytesRejectsMalformedFrames) {
   EXPECT_THROW((void)Message::from_bytes(std::move(tiny)), Error);
 }
 
+TEST(Message, FromBytesRejectsEveryTruncationAndTrailingByte) {
+  // A sparse int8 frame: header, index section, per-block scales, values.
+  const std::vector<std::uint32_t> idx{1, 4, 40};
+  const std::vector<double> vals{0.5, -1.5, 2.0};
+  const Message msg = Message::encode_sparse(64, idx, vals, DType::kInt8Block);
+  const std::vector<std::uint8_t> good(msg.bytes().begin(),
+                                       msg.bytes().end());
+  for (std::size_t len = 0; len < good.size(); ++len) {
+    std::vector<std::uint8_t> prefix(good.begin(), good.begin() + len);
+    EXPECT_THROW((void)Message::from_bytes(std::move(prefix)), Error)
+        << "prefix of " << len << " bytes";
+  }
+  std::vector<std::uint8_t> padded = good;
+  padded.push_back(0);
+  EXPECT_THROW((void)Message::from_bytes(std::move(padded)), Error);
+  EXPECT_NO_THROW((void)Message::from_bytes(good));
+}
+
+TEST(Message, FromBytesRejectsInconsistentDimAndCount) {
+  // Header fields per the documented layout: dim at offset 8, count at 16.
+  auto with_u64 = [](std::vector<std::uint8_t> frame, std::size_t offset,
+                     std::uint64_t value) {
+    for (std::size_t b = 0; b < 8; ++b) {
+      frame[offset + b] = static_cast<std::uint8_t>(value >> (8 * b));
+    }
+    return frame;
+  };
+  const auto v = random_values(8, 11);
+  const Message dense = Message::encode_dense(v, DType::kFloat64);
+  const std::vector<std::uint8_t> d(dense.bytes().begin(),
+                                    dense.bytes().end());
+  EXPECT_THROW((void)Message::from_bytes(with_u64(d, 8, 0)), Error);
+  EXPECT_THROW((void)Message::from_bytes(with_u64(d, 16, 7)), Error);
+  EXPECT_THROW((void)Message::from_bytes(with_u64(d, 8, 9)), Error);
+
+  const std::vector<std::uint32_t> idx{0, 2};
+  const std::vector<double> vals{1.0, 2.0};
+  const Message sparse = Message::encode_sparse(4, idx, vals, DType::kFloat64);
+  const std::vector<std::uint8_t> s(sparse.bytes().begin(),
+                                    sparse.bytes().end());
+  // count > dim, and a dim that puts index 2 out of range.
+  EXPECT_THROW((void)Message::from_bytes(with_u64(s, 8, 1)), Error);
+  EXPECT_THROW((void)Message::from_bytes(with_u64(s, 8, 2)), Error);
+}
+
 TEST(Message, FromBytesRejectsUnsortedSparseIndices) {
   const std::vector<std::uint32_t> idx{9, 3};  // descending: invalid
   const std::vector<double> vals{1.0, 2.0};

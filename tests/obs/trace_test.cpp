@@ -3,8 +3,11 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <chrono>
+#include <cstdint>
 #include <sstream>
 #include <string>
+#include <thread>
 
 namespace fedvr::obs {
 namespace {
@@ -22,6 +25,20 @@ class TraceTest : public ::testing::Test {
   }
   bool prev_ = false;
 };
+
+// The round engine's measured timings read this clock at its stage
+// boundaries: it must never step back and must see a sleep in full.
+TEST_F(TraceTest, NowNsIsMonotoneAndSeesASleep) {
+  std::uint64_t prev = now_ns();
+  for (int i = 0; i < 1000; ++i) {
+    const std::uint64_t t = now_ns();
+    ASSERT_GE(t, prev);
+    prev = t;
+  }
+  const std::uint64_t start = now_ns();
+  std::this_thread::sleep_for(std::chrono::milliseconds(2));
+  EXPECT_GE(now_ns() - start, 2'000'000u);
+}
 
 TEST_F(TraceTest, DisabledSpansRecordNothing) {
   {

@@ -5,6 +5,7 @@
 #include <atomic>
 #include <numeric>
 #include <stdexcept>
+#include <thread>
 #include <vector>
 
 #include "util/error.h"
@@ -90,6 +91,33 @@ TEST(ParallelFor, SingleWorkerStillCompletes) {
   std::vector<int> hits(64, 0);
   pool.parallel_for(0, hits.size(), [&hits](std::size_t i) { hits[i]++; });
   EXPECT_EQ(std::accumulate(hits.begin(), hits.end(), 0), 64);
+}
+
+// The round engine and the tree aggregator call parallel_for with no
+// serial fork of their own: on a one-worker pool it must be the plain loop,
+// every index on the caller's thread in ascending order.
+TEST(ParallelFor, OneWorkerPoolRunsOnCallerInAscendingOrder) {
+  ThreadPool pool(1);
+  const std::thread::id caller = std::this_thread::get_id();
+  std::vector<std::size_t> order;
+  pool.parallel_for(3, 40, [&](std::size_t i) {
+    EXPECT_EQ(std::this_thread::get_id(), caller);
+    order.push_back(i);
+  });
+  std::vector<std::size_t> expected(37);
+  std::iota(expected.begin(), expected.end(), std::size_t{3});
+  EXPECT_EQ(order, expected);
+}
+
+TEST(ParallelFor, GlobalPoolResetToOneRunsOnCaller) {
+  ThreadPool::reset_global(1);
+  const std::thread::id caller = std::this_thread::get_id();
+  std::size_t off_caller = 0;
+  ThreadPool::global().parallel_for(0, 64, [&](std::size_t) {
+    if (std::this_thread::get_id() != caller) ++off_caller;
+  });
+  ThreadPool::reset_global(0);
+  EXPECT_EQ(off_caller, 0u);
 }
 
 TEST(ParallelFor, LargeGrainFallsBackToSerial) {
